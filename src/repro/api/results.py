@@ -35,7 +35,7 @@ import time
 from collections import Counter, OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from repro.core.evalcache import _move_aside
+from repro.core.evalcache import SharedSqliteConnection, _move_aside, serialised
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -396,23 +396,23 @@ class JsonlResultStore(ResultStore):
             raise
 
 
-class SqliteResultStore(ResultStore):
+class SqliteResultStore(SharedSqliteConnection, ResultStore):
     """Sqlite backend for big matrices: keyed upserts, point lookups, rowid order."""
 
     def __init__(self, path: str, namespace: Optional[str] = None) -> None:
         super().__init__(path, namespace)
-        self._conn: Optional[sqlite3.Connection] = None
+        self._init_connection()
 
     def _connect(self) -> sqlite3.Connection:
         if self._conn is None:
             existed = os.path.exists(self.path)
-            self._conn = sqlite3.connect(self.path)
+            self._conn = self._open()
             if existed and self._is_foreign(self._conn):
                 # A valid sqlite database that is not ours (a mistyped --results
                 # path): preserve it at <path>.corrupt instead of injecting our
                 # tables into the user's data.
                 self._reset()
-                self._conn = sqlite3.connect(self.path)
+                self._conn = self._open()
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
             )
@@ -458,6 +458,7 @@ class SqliteResultStore(ResultStore):
             self._reset()
             return None
 
+    @serialised
     def load(self) -> "OrderedDict[str, Dict[str, Any]]":
         self.load_errors = 0
         if not os.path.exists(self.path):
@@ -480,6 +481,7 @@ class SqliteResultStore(ResultStore):
                 self.load_errors += 1
         return records
 
+    @serialised
     def get(self, cell_id: str) -> Optional[Dict[str, Any]]:
         if not os.path.exists(self.path):
             return None
@@ -500,6 +502,7 @@ class SqliteResultStore(ResultStore):
             self.load_errors += 1
             return None
 
+    @serialised
     def physical_rows(self) -> int:
         """Row count in the results table (keyed upserts never hold duplicates)."""
         if not os.path.exists(self.path):
@@ -512,6 +515,7 @@ class SqliteResultStore(ResultStore):
         except sqlite3.DatabaseError:
             return 0
 
+    @serialised
     def put(self, cell_id: str, record: Dict[str, Any]) -> None:
         t0 = _obs.now() if _obs.enabled else 0.0
         conn = self._validated()
@@ -528,6 +532,7 @@ class SqliteResultStore(ResultStore):
         if _obs.enabled:
             _obs.add("store.put", t0, _obs.now(), tag=cell_id)
 
+    @serialised
     def put_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
         """One transaction for the whole batch (rows identical to per-put)."""
         if not items:
@@ -550,6 +555,7 @@ class SqliteResultStore(ResultStore):
         if _obs.enabled:
             _obs.add("store.put", t0, _obs.now(), tag=f"batch:{len(items)}")
 
+    @serialised
     def replace_all(self, records: "OrderedDict[str, Dict[str, Any]]") -> None:
         conn = self._validated()
         if conn is None:
@@ -566,11 +572,6 @@ class SqliteResultStore(ResultStore):
             ],
         )
         conn.commit()
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
 
 
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")

@@ -9,7 +9,7 @@ DRAM allocation), evaluates every surviving plan and keeps the best.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 from repro.core.dram_allocation import DramAllocator
@@ -199,10 +199,11 @@ class CentralScheduler:
         plans: List[TrainingPlan] = []
         for tp, pp in enumerate_tp_pp(mp, workload.model.num_layers, max_tp=self.max_tp):
             for strategy in self.split_strategies:
-                for collective in collectives:
-                    plan = self.build_plan(workload, tp, pp, strategy, collective)
-                    if plan is not None:
-                        plans.append(plan)
+                # GCMR and placement ignore the collective: build each split once and
+                # fan it out over the collectives the TP engine may use.
+                plan = self.build_plan(workload, tp, pp, strategy, collectives[0])
+                if plan is not None:
+                    plans.extend(replace(plan, collective=c) for c in collectives)
         results = self.evaluator.evaluate_many(workload, plans, parallel)
         return [
             ExplorationRecord(plan=plan, result=result)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import hashlib
 import importlib
 import json
@@ -303,6 +304,54 @@ def _move_aside(path: str) -> None:
         os.replace(path, path + ".corrupt")
 
 
+def serialised(method):
+    """Run a :class:`SharedSqliteConnection` method under the store's lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
+class SharedSqliteConnection:
+    """One sqlite connection per store, shared by every thread that uses the store.
+
+    Whichever thread touches the store first opens the connection, with
+    ``check_same_thread=False``: a ``Session`` loads its store on the main thread, then
+    ``sweep(jobs=N)`` flushes it from cell threads and closes it from the main thread
+    again.  Every method that touches the connection is :func:`serialised`.
+    """
+
+    path: str
+
+    def _init_connection(self) -> None:
+        self._conn: Optional[sqlite3.Connection] = None
+        self._lock = threading.RLock()
+
+    def _open(self) -> sqlite3.Connection:
+        return sqlite3.connect(self.path, check_same_thread=False)
+
+    def __getstate__(self):
+        # Connections and locks are process-local; a copy reconnects lazily if it
+        # ever touches the store (workers normally never do — see EvaluationCache).
+        state = self.__dict__.copy()
+        state["_conn"] = None
+        state["_lock"] = None
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.RLock()
+
+    @serialised
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+
 class JsonlCacheStore(CacheStore):
     """Append-only JSONL spill: one header line, then one ``{"k":…, "v":…}`` row each.
 
@@ -414,19 +463,19 @@ class JsonlCacheStore(CacheStore):
             raise
 
 
-class SqliteCacheStore(CacheStore):
+class SqliteCacheStore(SharedSqliteConnection, CacheStore):
     """Sqlite spill for large sweeps: keyed upserts, no whole-file rewrite on append."""
 
     supports_point_lookup = True
 
     def __init__(self, path: str, namespace: Optional[str] = None) -> None:
         super().__init__(path, namespace)
-        self._conn: Optional[sqlite3.Connection] = None
+        self._init_connection()
 
     # ------------------------------------------------------------------ connection
     def _connect(self) -> sqlite3.Connection:
         if self._conn is None:
-            self._conn = sqlite3.connect(self.path)
+            self._conn = self._open()
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
             )
@@ -451,18 +500,12 @@ class SqliteCacheStore(CacheStore):
         self.close()
         _move_aside(self.path)
 
-    def __getstate__(self):
-        # sqlite connections are process-local; workers reconnect lazily if they
-        # ever touch the store (they normally never do — see EvaluationCache).
-        state = self.__dict__.copy()
-        state["_conn"] = None
-        return state
-
     def _stored_namespace(self, conn: sqlite3.Connection) -> Optional[str]:
         row = conn.execute("SELECT value FROM meta WHERE key = 'namespace'").fetchone()
         return row[0] if row else None
 
     # ------------------------------------------------------------------ CacheStore
+    @serialised
     def load(self) -> Dict[str, Any]:
         self.load_errors = 0
         self.row_times = {}
@@ -491,6 +534,7 @@ class SqliteCacheStore(CacheStore):
                 self.load_errors += 1
         return entries
 
+    @serialised
     def prepare(self) -> None:
         """Namespace validation for read-through use: repair, never a full row scan."""
         if not os.path.exists(self.path):
@@ -507,6 +551,7 @@ class SqliteCacheStore(CacheStore):
         except sqlite3.DatabaseError:
             self._reset()
 
+    @serialised
     def get(self, key: str) -> Optional[Any]:
         try:
             conn = self._connect()
@@ -523,6 +568,7 @@ class SqliteCacheStore(CacheStore):
             self.load_errors += 1
             return None
 
+    @serialised
     def append(
         self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
     ) -> None:
@@ -551,6 +597,7 @@ class SqliteCacheStore(CacheStore):
         )
         conn.commit()
 
+    @serialised
     def replace_all(
         self, entries: Mapping[str, Any], times: Optional[Mapping[str, float]] = None
     ) -> None:
@@ -565,11 +612,6 @@ class SqliteCacheStore(CacheStore):
         )
         conn.commit()
         self.append(entries, times)
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
 
 
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")

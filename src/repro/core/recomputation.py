@@ -64,29 +64,43 @@ class GcmrScheduler:
         self.tp_engine = tp_engine or TPEngine(wafer)
 
     # ------------------------------------------------------------------ frontiers
-    def _stage_options(
-        self,
-        workload: TrainingWorkload,
-        stage: int,
-        tp: int,
-        pp: int,
-        num_microbatches: int,
-    ) -> List[StageOption]:
-        """The monotone recomputation frontier of one stage (option 0 = no recompute)."""
-        memory = TrainingMemoryModel(workload.model)
+    def _frontier_steps(
+        self, workload: TrainingWorkload, tp: int
+    ) -> List[Tuple[FrozenSet[str], float]]:
+        """``(recomputed names, checkpoint fraction dropped)`` for option ``k`` of any stage.
+
+        Operators are added in order of checkpoint bytes saved per second of recompute
+        latency (best first); the order and fractions are the same for every stage.
+        """
         operators = workload.layer_operators()
         recomputable = [op for op in operators if op.recomputable]
-        # Order by checkpoint bytes saved per second of recompute latency (best first).
+
         def efficiency(op: Operator) -> float:
             latency = self.tp_engine.profile.latency(op.sharded(tp))
             return op.checkpoint_bytes / (latency + 1e-12)
 
         ordered = sorted(recomputable, key=efficiency, reverse=True)
-
-        options: List[StageOption] = []
+        steps = []
         for k in range(len(ordered) + 1):
             names = frozenset(op.name for op in ordered[:k])
-            fraction = RecomputeConfig.uniform(pp, names).recompute_fraction(stage, operators)
+            fraction = RecomputeConfig.uniform(1, names).recompute_fraction(0, operators)
+            steps.append((names, fraction))
+        return steps
+
+    def _stage_options(
+        self,
+        workload: TrainingWorkload,
+        memory: TrainingMemoryModel,
+        steps: Sequence[Tuple[FrozenSet[str], float]],
+        stage: int,
+        layers: int,
+        tp: int,
+        pp: int,
+        num_microbatches: int,
+    ) -> List[StageOption]:
+        """The monotone recomputation frontier of one stage (option 0 = no recompute)."""
+        options: List[StageOption] = []
+        for names, fraction in steps:
             breakdown = memory.stage_breakdown(
                 stage,
                 pp,
@@ -96,7 +110,6 @@ class GcmrScheduler:
                 num_microbatches,
                 recompute_fraction=fraction,
             )
-            layers = memory.layers_per_stage(pp)[stage]
             times = self.tp_engine.stage_times(
                 workload, stage, layers, tp, pp, recomputed_ops=names
             )
@@ -124,7 +137,12 @@ class GcmrScheduler:
         capacity = self.wafer.die.dram_capacity
         wafer_budget = capacity * pp
 
-        frontiers = [self._stage_options(workload, s, tp, pp, n) for s in range(pp)]
+        memory = TrainingMemoryModel(workload.model)
+        steps = self._frontier_steps(workload, tp)
+        frontiers = [
+            self._stage_options(workload, memory, steps, stage, layers, tp, pp, n)
+            for stage, layers in enumerate(memory.layers_per_stage(pp))
+        ]
 
         # Candidate maximum stage times: every option's time is a potential optimum.
         candidates = sorted({opt.stage_time for frontier in frontiers for opt in frontier})

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -388,3 +390,42 @@ class TestAgeCompaction:
         assert store.load() == {"k": 5, "k2": 6}
         assert store.row_times["k2"] > 0.0
         store.close()
+
+
+class TestSqliteAcrossThreads:
+    def test_connection_opened_on_main_thread_serves_writer_threads(self, tmp_path):
+        """More writer threads than cores share one connection the main thread opened."""
+        from repro.api.results import SqliteResultStore
+
+        cache_store = SqliteCacheStore(str(tmp_path / "cache.sqlite"))
+        cache_store.append({"warm": sample_result()})
+        result_store = SqliteResultStore(str(tmp_path / "results.sqlite"))
+        result_store.put("warm", {"cell_id": "warm"})
+        errors = []
+
+        def write(worker: int) -> None:
+            try:
+                for i in range(25):
+                    key = f"w{worker}-{i}"
+                    cache_store.append({key: sample_result(1.0 + i)})
+                    assert cache_store.get(key) == sample_result(1.0 + i)
+                    result_store.put(key, {"cell_id": key})
+            except Exception as exc:  # reported below with its thread
+                errors.append((worker, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache_store.load()) == 1 + 6 * 25
+        assert len(result_store.load()) == 1 + 6 * 25
+        cache_store.close()
+        result_store.close()

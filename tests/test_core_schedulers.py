@@ -1,6 +1,7 @@
 """Evaluator, GCMR recomputation scheduler, DRAM allocator, central scheduler and GA."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -8,11 +9,13 @@ from repro.core.central_scheduler import CentralScheduler
 from repro.core.dram_allocation import DramAllocator
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
-from repro.core.placement import serpentine_placement
+from repro.core.placement import PlacementOptimizer, serpentine_placement
 from repro.core.plan import MemPair, RecomputeConfig, TrainingPlan
 from repro.core.recomputation import GcmrScheduler
 from repro.hardware.faults import FaultModel
-from repro.parallelism.strategies import ParallelismConfig
+from repro.interconnect.collectives import CollectiveAlgorithm
+from repro.parallelism.partition import TPSplitStrategy
+from repro.parallelism.strategies import ParallelismConfig, enumerate_tp_pp
 from repro.units import GB
 from repro.workloads.workload import TrainingWorkload
 
@@ -266,6 +269,55 @@ class TestCentralScheduler:
         scheduler = CentralScheduler(small_wafer, max_tp=2)
         records = scheduler.explore(tiny_workload)
         assert all(r.plan.parallelism.tp <= 2 for r in records)
+
+    def test_explore_builds_each_split_once(self, monkeypatch, heavy_workload):
+        """GCMR and placement run once per (tp, pp, strategy), not once per collective."""
+        tight_wafer = make_small_wafer(dram_gb=0.5)  # balances stages at pp = 4 and 8
+        strategies = (TPSplitStrategy.HIDDEN, TPSplitStrategy.SEQUENCE)
+        collectives = (
+            CollectiveAlgorithm.BIDIRECTIONAL_RING,
+            CollectiveAlgorithm.TACOS,
+            CollectiveAlgorithm.RING,
+        )
+        expected_scheduler = CentralScheduler(
+            tight_wafer, search_collectives=collectives, split_strategies=strategies
+        )
+        expected = []
+        for tp, pp in enumerate_tp_pp(tight_wafer.num_dies, heavy_workload.model.num_layers):
+            for strategy in strategies:
+                for collective in collectives:
+                    plan = expected_scheduler.build_plan(
+                        heavy_workload, tp, pp, strategy, collective
+                    )
+                    if plan is not None:
+                        expected.append(plan)
+
+        schedules, optimizations = Counter(), Counter()
+        original_schedule = GcmrScheduler.schedule
+        original_optimize = PlacementOptimizer.optimize
+
+        def counted_schedule(self, workload, tp, pp, num_microbatches=None):
+            schedules[(tp, pp)] += 1
+            return original_schedule(self, workload, tp, pp, num_microbatches)
+
+        def counted_optimize(self, tp_shape, pp, *args, **kwargs):
+            optimizations[(tp_shape, pp)] += 1
+            return original_optimize(self, tp_shape, pp, *args, **kwargs)
+
+        monkeypatch.setattr(GcmrScheduler, "schedule", counted_schedule)
+        monkeypatch.setattr(PlacementOptimizer, "optimize", counted_optimize)
+        records = CentralScheduler(
+            tight_wafer, search_collectives=collectives, split_strategies=strategies
+        ).explore(heavy_workload)
+
+        assert {pp for _tp, pp in schedules} == {4, 8}
+        assert set(schedules.values()) == {len(strategies)}
+        assert set(optimizations.values()) == {len(strategies)}
+        assert [record.plan for record in records] == expected
+        evaluator = Evaluator(tight_wafer, use_cache=False)
+        assert [record.result for record in records] == [
+            evaluator.evaluate(heavy_workload, plan) for plan in expected
+        ]
 
 
 class TestGeneticOptimizer:

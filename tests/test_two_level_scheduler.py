@@ -134,6 +134,37 @@ class TestJobsBitIdentity:
         assert _rows(via_schedule) == _rows(serial)
 
 
+class TestSqliteStoreUnderJobs:
+    def test_prewarmed_sqlite_store_survives_cell_threads(self, tmp_path):
+        """Cell threads flush a sqlite cache store whose connection the main thread opened."""
+        sweep = SweepSpec.from_payload(
+            {
+                "base": {"kind": "ga", "wafer": "tiny", "workload": "tiny", "generations": 2},
+                "grid": {"population": [4, 6], "seed": [1, 2]},
+            }
+        )
+        cells = sweep.expand()
+        store = str(tmp_path / "cache.sqlite")
+        with Session(store=store) as session:
+            for cell in cells[::2]:
+                session.run(cell.spec)
+
+        results = str(tmp_path / "results.sqlite")
+        session = Session(store=store)
+        retry = RetryPolicy(max_attempts=1)
+        runs = list(session.sweep(sweep, results=results, jobs=2, retry=retry))
+        session.close()
+        assert [run.status for run in runs] == ["ok"] * len(cells)
+        assert session.cache.stats.loaded > 0
+
+        serial = str(tmp_path / "serial.sqlite")
+        with Session() as fresh:
+            list(fresh.sweep(sweep, results=serial))
+        assert _rows(results) == _rows(serial)
+        with open_store(store) as reopened:
+            assert len(reopened.load()) >= session.cache.stats.loaded
+
+
 # ------------------------------------------------------------------------- resume
 class TestResumeUnderJobs:
     def test_interrupted_sweep_resumes_only_missing_cells(self, tmp_path):
