@@ -251,6 +251,10 @@ class JsonlResultStore(ResultStore):
         #: without any load(), and appending to a foreign or stale-namespace file
         #: would corrupt it / write rows the next load() discards.
         self._checked = False
+        #: ``(inode, size)`` of the file right after this object's last append.  A
+        #: file still in that state ends on a whole line, so the next append skips
+        #: the torn-line read; any other state takes the full check.
+        self._appended: Optional[Tuple[int, int]] = None
 
     def _check_file(self) -> None:
         """Validate the header before the first blind write (no full row scan)."""
@@ -337,24 +341,7 @@ class JsonlResultStore(ResultStore):
             return 0
 
     def put(self, cell_id: str, record: Dict[str, Any]) -> None:
-        t0 = _obs.now() if _obs.enabled else 0.0
-        self._check_file()
-        if self._foreign_file:
-            _move_aside(self.path)
-            self._foreign_file = False
-        fresh = not os.path.exists(self.path)
-        # A kill mid-append leaves a torn last line; appending straight after it
-        # would concatenate the new row onto the fragment and lose both.  Close
-        # the torn line first so only the fragment is sacrificed.
-        torn = not fresh and not self._ends_with_newline(self.path)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if fresh:
-                handle.write(self._header() + "\n")
-            elif torn:
-                handle.write("\n")
-            handle.write(json.dumps({"c": cell_id, "v": record}) + "\n")
-        if _obs.enabled:
-            _obs.add("store.put", t0, _obs.now(), tag=cell_id)
+        self.put_many([(cell_id, record)])
 
     def put_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
         """One append-mode open for the whole batch (rows identical to per-put)."""
@@ -365,17 +352,29 @@ class JsonlResultStore(ResultStore):
         if self._foreign_file:
             _move_aside(self.path)
             self._foreign_file = False
-        fresh = not os.path.exists(self.path)
-        torn = not fresh and not self._ends_with_newline(self.path)
+        try:
+            stat: Optional[os.stat_result] = os.stat(self.path)
+        except OSError:
+            stat = None
+        # A kill mid-append leaves a torn last line; appending straight after it
+        # would concatenate the new row onto the fragment and lose both.  Close
+        # the torn line first so only the fragment is sacrificed.
+        torn = (
+            stat is not None
+            and (stat.st_ino, stat.st_size) != self._appended
+            and not self._ends_with_newline(self.path)
+        )
+        lines = [json.dumps({"c": cell_id, "v": record}) + "\n" for cell_id, record in items]
+        if stat is None:
+            lines.insert(0, self._header() + "\n")
+        elif torn:
+            lines.insert(0, "\n")
         with open(self.path, "a", encoding="utf-8") as handle:
-            if fresh:
-                handle.write(self._header() + "\n")
-            elif torn:
-                handle.write("\n")
-            for cell_id, record in items:
-                handle.write(json.dumps({"c": cell_id, "v": record}) + "\n")
+            handle.write("".join(lines))
+            self._appended = (stat.st_ino, handle.tell()) if stat is not None else None
         if _obs.enabled:
-            _obs.add("store.put", t0, _obs.now(), tag=f"batch:{len(items)}")
+            tag = items[0][0] if len(items) == 1 else f"batch:{len(items)}"
+            _obs.add("store.put", t0, _obs.now(), tag=tag)
 
     def replace_all(self, records: "OrderedDict[str, Dict[str, Any]]") -> None:
         self._check_file()  # no-op when re-entered from the check itself
@@ -390,6 +389,7 @@ class JsonlResultStore(ResultStore):
                 for cell_id, record in records.items():
                     handle.write(json.dumps({"c": cell_id, "v": record}) + "\n")
             os.replace(tmp_path, self.path)
+            self._appended = None
         except BaseException:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)

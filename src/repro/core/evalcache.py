@@ -85,17 +85,65 @@ def default_namespace() -> str:
 
 
 # ---------------------------------------------------------------------- canonical form
+#: Exact types :func:`canonicalize` returns unchanged.
+_ATOMS = frozenset((type(None), bool, int, str, bytes))
+
+#: Class -> its dataclass field names, or ``None`` when the class takes the general
+#: path.  Both are fixed per class, so this grows only with the classes seen.
+_DATACLASS_FIELDS: Dict[type, Optional[Tuple[str, ...]]] = {}
+_UNSEEN = object()
+
+
+def _dataclass_field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    # Subclasses of the primitive types and enums are caught earlier in the general
+    # path, so they must not take the dataclass fast path either.
+    if not is_dataclass(cls) or issubclass(cls, (int, str, bytes, float, enum.Enum)):
+        return None
+    return tuple(f.name for f in fields(cls))
+
+
+def _key_repr(item: Tuple[str, Any]) -> str:
+    return repr(item[0])
+
+
 def canonicalize(value: Any) -> Any:
     """Reduce ``value`` to a nested tuple of primitives with a deterministic repr.
 
     Handles the vocabulary the evaluator's inputs are built from: frozen (and mutable)
     dataclasses, enums, dicts, sets and sequences.  Floats are kept exact — the cache
     must never merge two plans whose byte volumes differ even in the last ulp.
+
+    Exact builtin types and dataclasses take a fast path; everything else (enums,
+    subclasses, sets, ``OrderedDict``…) takes the general ``isinstance`` path.  Both
+    produce the same canonical form.
     """
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
+    if cls is float:
+        # hex() is lossless and avoids repr ambiguity across float formatting rules.
+        return ("f", value.hex())
+    if cls is list or cls is tuple:
+        return tuple([canonicalize(v) for v in value])
+    if cls is dict:
+        for k in value:
+            if type(k) is not str:
+                break
+        else:
+            # Keys are unique and no str repr is a proper prefix of another, so
+            # sorting by repr(key) gives the order sorting by repr((key, value)) gives.
+            items = [(k, canonicalize(v)) for k, v in value.items()]
+            items.sort(key=_key_repr)
+            return ("dict", tuple(items))
+    names = _DATACLASS_FIELDS.get(cls, _UNSEEN)
+    if names is _UNSEEN:
+        names = _DATACLASS_FIELDS[cls] = _dataclass_field_names(cls)
+    if names is not None:
+        return (cls.__name__, tuple([(n, canonicalize(getattr(value, n))) for n in names]))
+
     if value is None or isinstance(value, (bool, int, str, bytes)):
         return value
     if isinstance(value, float):
-        # hex() is lossless and avoids repr ambiguity across float formatting rules.
         return ("f", value.hex())
     if isinstance(value, enum.Enum):
         return (type(value).__name__, value.name)

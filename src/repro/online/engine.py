@@ -56,6 +56,8 @@ class _Pending:
     arrival: float
     seq: int
     deadline_abs: Optional[float]
+    #: ``job.workload_key()``, computed once at admission.
+    workload_key: Optional[str] = None
 
 
 @dataclass
@@ -180,21 +182,21 @@ class OnlineEngine:
         self._workloads: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ pricing
-    def _workload(self, job: JobRequest):
-        key = job.workload_key()
+    def _workload(self, pending: _Pending):
+        key = pending.workload_key
         if key not in self._workloads:
             from repro.api import registry  # late: avoids import cycles
 
-            self._workloads[key] = registry.resolve_workload(job.workload)
+            self._workloads[key] = registry.resolve_workload(pending.job.workload)
         return self._workloads[key]
 
-    def _price(self, wafer: _Wafer, job: JobRequest) -> Optional[float]:
+    def _price(self, wafer: _Wafer, pending: _Pending) -> Optional[float]:
         """Healthy-wafer seconds per iteration for this workload (``None`` = infeasible).
 
         One real :meth:`CentralScheduler.best` search per distinct
         ``(wafer, workload)`` pair; every further job is a dictionary hit.
         """
-        key = (wafer.name, job.workload_key())
+        key = (wafer.name, pending.workload_key)
         cached = self._prices.get(key, _MISSING)
         if cached is not _MISSING:
             self._price_hits += 1
@@ -205,7 +207,7 @@ class OnlineEngine:
                 wafer.config, session=self.session, max_tp=self.max_tp
             )
             self._schedulers[wafer.name] = scheduler
-        record = scheduler.best(self._workload(job), session=self.session)
+        record = scheduler.best(self._workload(pending), session=self.session)
         price = record.result.iteration_time if record is not None else None
         self._prices[key] = price
         return price
@@ -227,8 +229,10 @@ class OnlineEngine:
                 )
         from repro.api import registry  # late: avoids import cycles
 
+        # Canonicalizing every event is the costliest step of a serve: do it once.
+        trace_fingerprint = trace.fingerprint
         self._run_key = fingerprint(
-            {"trace": trace.fingerprint, "fleet": fleet, "policy": self.policy.name}
+            {"trace": trace_fingerprint, "fleet": fleet, "policy": self.policy.name}
         )[:16]
         self._wafers = [
             _Wafer(index=index, name=str(name), config=registry.resolve_wafer(name))
@@ -299,11 +303,11 @@ class OnlineEngine:
             policy=self.policy.name,
             trace_fingerprint=self._run_key,
         )
-        self._record(summary, spec={"trace": trace.fingerprint, "policy": self.policy.name})
+        self._record(summary, spec={"trace": trace_fingerprint, "policy": self.policy.name})
         self._flush(force=True)
         return ServeReport(
             trace=trace.name,
-            fingerprint=trace.fingerprint,
+            fingerprint=trace_fingerprint,
             policy=self.policy.name,
             fleet=[wafer.name for wafer in self._wafers],
             jobs=len(jobs),
@@ -326,9 +330,10 @@ class OnlineEngine:
         job = pending.job
         if job.id in self._metrics:
             raise ValueError(f"duplicate job id {job.id!r} in trace")
+        pending.workload_key = job.workload_key()
         self._metrics[job.id] = JobMetrics(
             job_id=job.id,
-            workload_key=job.workload_key(),
+            workload_key=pending.workload_key,
             arrival=pending.arrival,
             iterations=job.iterations,
             deadline_abs=pending.deadline_abs,
@@ -372,7 +377,7 @@ class OnlineEngine:
         metrics = self._metrics[pending.job.id]
         metrics.finish = now
         wafer.busy_s += now - wafer.busy_since
-        wafer.last_workload_key = pending.job.workload_key()
+        wafer.last_workload_key = pending.workload_key
         wafer.running = None
         wafer.work_remaining = 0.0
         self._record(metrics.to_run_result(self._run_key), job=pending.job)
@@ -408,7 +413,7 @@ class OnlineEngine:
         metrics.wafer = wafer.index
         metrics.wafer_name = wafer.name
         with _obs.span("online.place", tag=pending.job.id):
-            price = self._price(wafer, pending.job)
+            price = self._price(wafer, pending)
         if price is None:
             # Every candidate pruned or OOM on this wafer: the job cannot run
             # there, and retrying elsewhere would make completion order depend on

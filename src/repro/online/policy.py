@@ -38,6 +38,7 @@ class OnlinePolicy:
     """Base class: override :meth:`select` (and optionally :attr:`name`).
 
     ``pending`` entries expose ``.job`` (:class:`~repro.online.trace.JobRequest`),
+    ``.workload_key`` (``job.workload_key()``, computed once at admission),
     ``.arrival``, ``.seq`` (admission order) and ``.deadline_abs`` (absolute SLO
     instant, or ``None``); ``idle`` entries expose ``.index``, ``.name``,
     ``.speed`` and ``.last_workload_key``.  Return ``(pending_index, idle_index)``
@@ -104,7 +105,7 @@ class CacheAffinityPolicy(OnlinePolicy):
         if not pending or not idle:
             return None
         job_index = min(range(len(pending)), key=lambda i: pending[i].seq)
-        key = pending[job_index].job.workload_key()
+        key = pending[job_index].workload_key
         matches = [i for i in range(len(idle)) if idle[i].last_workload_key == key]
         pool = matches if matches else range(len(idle))
         wafer_index = min(pool, key=lambda i: idle[i].index)

@@ -15,6 +15,8 @@ The contract under test:
   and retried; total pool collapse degrades to in-process serial with one warning.
 * ``tear_last_append`` (torn mid-append write) heals on the next load for both
   store backends: resume re-prices exactly the torn cell.
+* A JSONL store object that keeps appending after another writer left a torn
+  fragment (or a whole row) in its file closes the fragment off first.
 """
 
 from __future__ import annotations
@@ -385,3 +387,76 @@ class TestTornAppendHealing:
         path = str(tmp_path / "empty.sqlite")
         open_result_store(path).close()
         assert not tear_last_append(path)
+
+
+class TestAppendAfterOutsideWrites:
+    """One JSONL store object keeps appending while others write to its file.
+
+    A store remembers the file state its own last append left behind, so its next
+    append can skip the torn-line read.  Anything written from outside in between
+    must still take the full check.
+    """
+
+    @pytest.mark.parametrize("method", ["put", "put_many"])
+    def test_outside_fragment_is_closed_off(self, tmp_path, method):
+        path = str(tmp_path / "results.jsonl")
+        store = open_result_store(path)
+
+        def put(cell_id):
+            if method == "put":
+                store.put(cell_id, {"v": cell_id})
+            else:
+                store.put_many([(cell_id, {"v": cell_id})])
+
+        put("a")  # creates the file
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"c": "torn-1", "v": {"v"')  # a writer killed mid-row
+        put("b")  # first append to an existing file: full check
+        put("c")  # the file is as this store left it
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"c": "torn-2", "v"')
+        put("d")
+        loaded = store.load()
+        assert list(loaded) == ["a", "b", "c", "d"]
+        assert [record["v"] for record in loaded.values()] == ["a", "b", "c", "d"]
+        assert store.load_errors == 2
+        store.close()
+
+    def test_fragment_after_one_put_counts_one_load_error(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        store = open_result_store(path)
+        store.put("a", {"v": 1})
+        store.put("b", {"v": 2})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"c": "torn", "v": {')
+        store.put("c", {"v": 3})
+        assert list(store.load()) == ["a", "b", "c"]
+        assert store.load_errors == 1
+        store.close()
+
+    def test_complete_outside_row_between_puts_corrupts_nothing(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        store = open_result_store(path)
+        store.put("a", {"v": 1})
+        store.put("b", {"v": 2})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"c": "outside", "v": {"v": 0}}) + "\n")
+        store.put("c", {"v": 3})
+        loaded = store.load()
+        assert list(loaded) == ["a", "b", "outside", "c"]
+        assert store.load_errors == 0
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == 5 and all(json.loads(line) for line in lines)
+        store.close()
+
+    def test_deleted_file_is_recreated_with_a_header(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = open_result_store(str(path))
+        store.put("a", {"v": 1})
+        store.put("b", {"v": 2})
+        path.unlink()
+        store.put("c", {"v": 3})
+        assert list(store.load()) == ["c"]
+        assert store.load_errors == 0
+        store.close()

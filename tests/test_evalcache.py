@@ -4,10 +4,14 @@ fingerprint sensitivity, the event-driven 1F1B simulator and the parallel search
 
 from __future__ import annotations
 
+import enum
 import random
-from dataclasses import replace
+from collections import OrderedDict
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Any
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.central_scheduler import CentralScheduler
 from repro.core.evalcache import (
@@ -20,6 +24,8 @@ from repro.core.evaluator import Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
 from repro.core.plan import MemPair
+from repro.api import registry
+from repro.online import StormSpec, generate_trace
 from repro.hardware.faults import FaultModel
 from repro.parallelism.partition import TPSplitStrategy
 from repro.parallelism.pipeline import (
@@ -176,6 +182,216 @@ class TestFingerprintSensitivity:
     def test_combine_order_sensitive(self):
         a, b = fingerprint(1), fingerprint(2)
         assert combine_fingerprints(a, b) != combine_fingerprints(b, a)
+
+
+# ------------------------------------------------------------ golden canonical form
+def _reference_canonicalize(value: Any) -> Any:
+    """The canonical form as it was before the exact-type fast path (verbatim)."""
+    if value is None or isinstance(value, (bool, int, str, bytes)):
+        return value
+    if isinstance(value, float):
+        # hex() is lossless and avoids repr ambiguity across float formatting rules.
+        return ("f", value.hex())
+    if isinstance(value, enum.Enum):
+        return (type(value).__name__, value.name)
+    if is_dataclass(value) and not isinstance(value, type):
+        return (
+            type(value).__name__,
+            tuple(
+                (f.name, _reference_canonicalize(getattr(value, f.name)))
+                for f in fields(value)
+            ),
+        )
+    if isinstance(value, dict):
+        items = [
+            (_reference_canonicalize(k), _reference_canonicalize(v)) for k, v in value.items()
+        ]
+        return ("dict", tuple(sorted(items, key=repr)))
+    if isinstance(value, (set, frozenset)):
+        return ("set", tuple(sorted((_reference_canonicalize(v) for v in value), key=repr)))
+    if isinstance(value, (tuple, list)):
+        return tuple(_reference_canonicalize(v) for v in value)
+    raise TypeError(f"cannot canonicalize {type(value).__name__} for fingerprinting")
+
+
+class _Color(enum.Enum):
+    RED = 1
+    BLUE = 2
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Name(str):
+    pass
+
+
+@dataclass(frozen=True)
+class _Point:
+    x: Any
+    y: Any = None
+
+
+@dataclass
+class _Node:
+    label: str
+    children: list
+    meta: dict
+
+
+@dataclass(eq=False)
+class _Coord:
+    i: int
+
+
+class _CoordEnum(_Coord, enum.Enum):
+    """An enum that is also a dataclass: canonicalized as an enum."""
+
+    ORIGIN = 0
+    ONE = 1
+
+
+# Keys that sort near each other once repr'd: prefixes, quotes, backslashes and
+# characters below the closing quote.
+_TRICKY_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from(list("a!'\"\\ #\t\n\x00")), st.characters()),
+    max_size=6,
+)
+_HASHABLE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    _TRICKY_TEXT,
+    st.binary(max_size=4),
+    st.sampled_from(list(_Color) + list(_Level) + list(_CoordEnum)),
+    _TRICKY_TEXT.map(_Name),
+    st.tuples(st.integers(), _TRICKY_TEXT),
+    st.builds(_Point, st.integers(), _TRICKY_TEXT),
+)
+_ATOMS = st.one_of(
+    _HASHABLE,
+    st.floats(),  # NaN and infinities included
+    st.sets(_HASHABLE, max_size=4),
+    st.frozensets(_HASHABLE, max_size=4),
+)
+_VALUES = st.recursive(
+    _ATOMS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TRICKY_TEXT, children, max_size=4),
+        st.dictionaries(_HASHABLE, children, max_size=4),
+        st.dictionaries(_TRICKY_TEXT, children, max_size=4).map(OrderedDict),
+        st.builds(_Point, children, children),
+        st.builds(
+            _Node,
+            _TRICKY_TEXT,
+            st.lists(children, max_size=3),
+            st.dictionaries(_TRICKY_TEXT, children, max_size=3),
+        ),
+    ),
+    max_leaves=24,
+)
+
+
+#: Digests of config3 x llama2-30b (its best plan, the workload, the wafer) and of a
+#: seeded 200-job storm trace, computed with the reference canonical form.
+PINNED_DIGESTS = {
+    "plan": "9f7d7b68561f6594d0ab965cf5de4d60fa39bad1b264047d4a08daa60f227a4e",
+    "workload": "1fd4f77412c9b75adaadb0c34f17504bf9fa566dbe8c27dcbc2531ec370f13a0",
+    "wafer": "3316add4c5ee73ee7c00c359d43916d6f901b40cf4b43e2bbc49833aaa69dab7",
+    "trace": "dae553e787683a04afc5fb71e9af6f24cf5030843a594ad64928ac7fcd0a5e6c",
+}
+
+
+def _storm_trace():
+    return generate_trace(
+        jobs=200,
+        rate=3.0,
+        seed=5,
+        workloads=["llama2-7b", "mamba-2.8b", "tiny"],
+        fleet=["config1", "config2"],
+        deadline_s=30.0,
+        storms=[
+            StormSpec(wafer=0, at=20.0, duration=30.0, die_fault_rate=0.25, mean_repair_s=5.0)
+        ],
+        name="golden",
+    )
+
+
+class TestCanonicalFormGolden:
+    """The fast canonical form is byte-identical to the reference one.
+
+    Stores key entries by these digests, so any drift would turn every persisted
+    cache and result store cold without a ``CACHE_SCHEMA_VERSION`` bump.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES)
+    def test_matches_reference_on_random_values(self, value):
+        assert repr(canonicalize(value)) == repr(_reference_canonicalize(value))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": 1, "a!": 2},
+            {"a!": 1, "a": 2},
+            {"a'": 1, 'a"': 2, "a\\": 3, "a": 4, "": 5, "'": 6, '"': 7, "a\\'": 8, "a ": 9},
+            {"b": {"a!": 1.5, "a": -0.0}, "a": [1, (2.0, "x")]},
+            {1: "x", "1": "y", (1, 2): "z", None: 0, 2.5: 1, True: 2, b"k": 3},
+            {"a": 1, 2: "b"},
+            OrderedDict([("b", 1), ("a", 2)]),
+            _Level.HIGH,
+            {"k": _Level.LOW, "j": [_Color.RED, _Level.HIGH]},
+            _Name("x"),
+            {_Name("b"): 1, "a": 2},
+            [_Name("a'"), _Name('a"')],
+            {frozenset({1, "a"}), frozenset()},
+            _CoordEnum.ONE,
+            _Node("n", [_Point(1.0, {"z": None})], {"a!": _Coord(2), "a": _Point(x=())}),
+            float("inf"),
+            float("nan"),
+            [],
+            {},
+        ],
+    )
+    def test_matches_reference_on_edge_cases(self, value):
+        assert repr(canonicalize(value)) == repr(_reference_canonicalize(value))
+
+    @pytest.mark.parametrize(
+        "value", [object(), [1, object()], {"a": object()}, {1: object()}, _Point(object())]
+    )
+    def test_rejects_what_the_reference_rejects(self, value):
+        with pytest.raises(TypeError) as reference:
+            _reference_canonicalize(value)
+        with pytest.raises(TypeError) as fast:
+            canonicalize(value)
+        assert str(fast.value) == str(reference.value)
+
+    def test_pinned_digests_are_unchanged(self):
+        """Digests computed with the reference canonical form: stores stay warm."""
+        wafer = registry.resolve_wafer("config3")
+        workload = registry.resolve_workload(
+            {
+                "model": "llama2-30b",
+                "global_batch_size": 128,
+                "micro_batch_size": 4,
+                "sequence_length": 4096,
+            }
+        )
+        values = {
+            "plan": CentralScheduler(wafer).best(workload).plan,
+            "workload": workload,
+            "wafer": wafer,
+            "trace": _storm_trace(),
+        }
+        assert {name: fingerprint(value) for name, value in values.items()} == PINNED_DIGESTS
+        assert values["trace"].fingerprint == "45d08cdc2d6a0e6b"
+        for value in values.values():
+            assert repr(canonicalize(value)) == repr(_reference_canonicalize(value))
 
 
 # ------------------------------------------------------------- 1F1B event-driven sim

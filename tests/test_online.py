@@ -262,9 +262,10 @@ class TestTraceFormat:
 
 # -------------------------------------------------------------------- policies
 def _pending(seq, deadline_abs=None, workload="tiny"):
+    job = JobRequest(id=f"j{seq}", workload=workload)
     return SimpleNamespace(
         seq=seq, deadline_abs=deadline_abs, arrival=float(seq),
-        job=JobRequest(id=f"j{seq}", workload=workload),
+        job=job, workload_key=job.workload_key(),
     )
 
 
@@ -365,6 +366,51 @@ class TestReplayDeterminism:
         _serve(trace, store)
         again = _serve(trace, store, resume=False)
         assert again.rows_written == 13 and again.rows_skipped == 0
+
+
+class TestServeCost:
+    """A serve fingerprints the trace once and each job's workload once."""
+
+    @pytest.mark.parametrize("policy", ["fcfs", "edf", "affinity"])
+    def test_fingerprints_once_per_serve_and_once_per_job(self, tmp_path, monkeypatch, policy):
+        from repro.online import trace as trace_module
+
+        reads = []
+        original_property = Trace.fingerprint
+        monkeypatch.setattr(
+            Trace,
+            "fingerprint",
+            property(lambda self: reads.append(1) or original_property.fget(self)),
+        )
+        hashed = []
+        original_fingerprint = trace_module.fingerprint
+        monkeypatch.setattr(
+            trace_module,
+            "fingerprint",
+            lambda *values: hashed.append(values) or original_fingerprint(*values),
+        )
+        trace = _small_trace()
+        report = _serve(trace, tmp_path / "store.jsonl", policy=policy)
+        assert report.jobs == 12
+        assert len(reads) == 1
+        # The one trace digest, then one workload digest per job.
+        assert len(hashed) == 1 + len(trace.jobs)
+        assert [values[0] for values in hashed[1:]] == [job.workload for job in trace.jobs]
+
+    def test_store_bytes_are_pinned(self, tmp_path):
+        """Replays are byte-identical, and so are replays of an earlier build.
+
+        The digest was taken before the serve path fingerprinted once per serve,
+        the canonical form gained its fast path and appends skipped the
+        torn-line read; none of that may change a stored byte.
+        """
+        import hashlib
+
+        pinned = "4fc93c5b02da34854d68c0b1c787f24c154c03f0a50e72b9e0d92d49c14ae411"
+        store = tmp_path / "store.jsonl"
+        report = _serve(_small_trace(), store, policy="edf")
+        assert report.fingerprint == "cd73368d2fda2fbf"
+        assert hashlib.sha256(store.read_bytes()).hexdigest() == pinned
 
 
 class TestEngineSemantics:
