@@ -20,7 +20,7 @@ the Mem_pair set that the memory scheduler (placement + DRAM allocation) refines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.plan import MemPair, RecomputeConfig
 from repro.core.tp_engine import TPEngine
@@ -87,41 +87,6 @@ class GcmrScheduler:
             steps.append((names, fraction))
         return steps
 
-    def _stage_options(
-        self,
-        workload: TrainingWorkload,
-        memory: TrainingMemoryModel,
-        steps: Sequence[Tuple[FrozenSet[str], float]],
-        stage: int,
-        layers: int,
-        tp: int,
-        pp: int,
-        num_microbatches: int,
-    ) -> List[StageOption]:
-        """The monotone recomputation frontier of one stage (option 0 = no recompute)."""
-        options: List[StageOption] = []
-        for names, fraction in steps:
-            breakdown = memory.stage_breakdown(
-                stage,
-                pp,
-                tp,
-                workload.micro_batch_size,
-                workload.seq_len,
-                num_microbatches,
-                recompute_fraction=fraction,
-            )
-            times = self.tp_engine.stage_times(
-                workload, stage, layers, tp, pp, recomputed_ops=names
-            )
-            options.append(
-                StageOption(
-                    recomputed=names,
-                    memory_bytes=breakdown.total_bytes,
-                    stage_time=times.forward + times.backward_total,
-                )
-            )
-        return options
-
     # ------------------------------------------------------------------ scheduling
     def schedule(
         self,
@@ -139,31 +104,58 @@ class GcmrScheduler:
 
         memory = TrainingMemoryModel(workload.model)
         steps = self._frontier_steps(workload, tp)
-        frontiers = [
-            self._stage_options(workload, memory, steps, stage, layers, tp, pp, n)
-            for stage, layers in enumerate(memory.layers_per_stage(pp))
-        ]
+        # A stage's time depends only on its (layer count, edge flag) signature, so each
+        # signature's frontier is priced once.  Option ``k``'s footprint is the no-recompute
+        # breakdown with its checkpoints scaled by ``1 - fraction_k`` — the expression
+        # ``stage_breakdown`` itself evaluates.
+        signature_times: Dict[Tuple[int, bool], List[float]] = {}
+        frontiers: List[List[StageOption]] = []
+        for stage, layers in enumerate(memory.layers_per_stage(pp)):
+            signature = (layers, stage == 0 or stage == pp - 1)
+            times = signature_times.get(signature)
+            if times is None:
+                times = []
+                for names, _ in steps:
+                    stage_times = self.tp_engine.stage_times(
+                        workload, stage, layers, tp, pp, recomputed_ops=names
+                    )
+                    times.append(stage_times.forward + stage_times.backward_total)
+                signature_times[signature] = times
+            base = memory.stage_breakdown(
+                stage,
+                pp,
+                tp,
+                workload.micro_batch_size,
+                workload.seq_len,
+                n,
+                recompute_fraction=0.0,
+            )
+            state, checkpoints = base.model_state_bytes, base.checkpoint_bytes
+            frontiers.append(
+                [
+                    StageOption(names, state + checkpoints * (1.0 - fraction), stage_time)
+                    for (names, fraction), stage_time in zip(steps, times)
+                ]
+            )
 
         # Candidate maximum stage times: every option's time is a potential optimum.
-        candidates = sorted({opt.stage_time for frontier in frontiers for opt in frontier})
+        # Feasibility is monotone in the threshold (allowed sets only grow, so the summed
+        # minimum footprint only shrinks): bisect for the first feasible candidate.
+        candidates = sorted({t for times in signature_times.values() for t in times})
+        lo, hi = 0, len(candidates)
+        selection: Optional[List[StageOption]] = None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            feasible = self._select(frontiers, candidates[mid], wafer_budget)
+            if feasible is None:
+                lo = mid + 1
+            else:
+                hi, selection = mid, feasible
         chosen: Optional[List[StageOption]] = None
-        for threshold in candidates:
-            selection: List[StageOption] = []
-            feasible = True
-            for frontier in frontiers:
-                allowed = [opt for opt in frontier if opt.stage_time <= threshold + 1e-12]
-                if not allowed:
-                    feasible = False
-                    break
-                # Under the time budget, take the option with the smallest footprint.
-                selection.append(min(allowed, key=lambda opt: opt.memory_bytes))
-            if not feasible:
-                continue
-            if sum(opt.memory_bytes for opt in selection) <= wafer_budget:
-                chosen = self._relax_unnecessary_recompute(
-                    frontiers, selection, threshold, wafer_budget
-                )
-                break
+        if selection is not None:
+            chosen = self._relax_unnecessary_recompute(
+                frontiers, selection, candidates[hi], wafer_budget
+            )
 
         if chosen is None:
             # Even full recomputation everywhere does not fit the wafer.
@@ -191,6 +183,22 @@ class GcmrScheduler:
             max_stage_time=max(opt.stage_time for opt in chosen),
             feasible=True,
         )
+
+    @staticmethod
+    def _select(
+        frontiers: Sequence[Sequence[StageOption]], threshold: float, wafer_budget: float
+    ) -> Optional[List[StageOption]]:
+        """Smallest-footprint option per stage under ``threshold``, or None if infeasible."""
+        selection: List[StageOption] = []
+        for frontier in frontiers:
+            allowed = [opt for opt in frontier if opt.stage_time <= threshold + 1e-12]
+            if not allowed:
+                return None
+            # Under the time budget, take the option with the smallest footprint.
+            selection.append(min(allowed, key=lambda opt: opt.memory_bytes))
+        if sum(opt.memory_bytes for opt in selection) <= wafer_budget:
+            return selection
+        return None
 
     @staticmethod
     def _relax_unnecessary_recompute(

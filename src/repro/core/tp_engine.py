@@ -27,6 +27,19 @@ from repro.workloads.workload import TrainingWorkload
 
 
 @dataclass(frozen=True)
+class _LayerProfile:
+    """One layer of a workload priced on one TP group (the :class:`TPEngine` memo)."""
+
+    names: Tuple[str, ...]
+    #: Per-operator latencies, already divided by the compute throughput.
+    latencies: Tuple[float, ...]
+    #: Left-to-right sum of ``latencies``.
+    fwd_compute: float
+    tp_comm: float
+    embed_time: float
+
+
+@dataclass(frozen=True)
 class StageTimes:
     """Per-micro-batch execution times of one pipeline stage."""
 
@@ -48,11 +61,15 @@ class StageTimes:
 class TPEngine:
     """Prices intra-stage computation and TP communication for a wafer configuration.
 
-    Stage pricing is memoized: within one plan, uniform middle stages share a single
-    signature — (workload, layer count, TP degree, recompute set, edge-stage flag,
-    link/compute quality) — so they are priced once instead of ``pp`` times, and the
-    memo persists across :meth:`stage_times` calls so GA generations re-pricing the
-    same stage shapes pay nothing.  Set ``memoize=False`` to benchmark the raw path.
+    Stage pricing rests on one memo, the *layer profile*: keyed on (workload shape, TP
+    degree, compute throughput, link quality), it holds the sharded layer graph's
+    per-operator latencies scaled by the compute throughput, their left-to-right sum,
+    the layer's TP communication time and the edge stages' embedding time.  None of
+    these depend on the layer count, the recompute set or the edge-stage flag, so
+    every stage signature that shares a profile — GCMR's recompute frontier, uniform
+    middle stages, GA generations re-pricing the same shapes — is priced by a few
+    multiplications instead of re-sharding and re-profiling the layer graph.  Set
+    ``memoize=False`` to benchmark the raw path (every memo bypassed).
     """
 
     def __init__(
@@ -70,8 +87,7 @@ class TPEngine:
         self.split_strategy = split_strategy
         self.memoize = memoize
         self._layer_graphs: Dict[Tuple, List[Operator]] = {}
-        self._embedding_ops: Dict[Tuple, Operator] = {}
-        self._stage_times: Dict[Tuple, StageTimes] = {}
+        self._layer_profiles: Dict[Tuple, _LayerProfile] = {}
         self._stage_flops: Dict[Tuple, float] = {}
 
     # ------------------------------------------------------------------ memoized inputs
@@ -92,20 +108,6 @@ class TPEngine:
             )
             self._layer_graphs[key] = operators
         return operators
-
-    def _embedding_operator(self, workload: TrainingWorkload, tp: int) -> Operator:
-        if not self.memoize:
-            return embedding_operator(
-                workload.model, workload.micro_batch_size, workload.seq_len
-            ).sharded(tp)
-        key = self._workload_key(workload) + (tp,)
-        op = self._embedding_ops.get(key)
-        if op is None:
-            op = embedding_operator(
-                workload.model, workload.micro_batch_size, workload.seq_len
-            ).sharded(tp)
-            self._embedding_ops[key] = op
-        return op
 
     # ------------------------------------------------------------------ collectives
     def _collective_model(self, tp: int, link_quality: float = 1.0) -> CollectiveModel:
@@ -160,64 +162,72 @@ class TPEngine:
         if not 0.0 < compute_throughput <= 1.0:
             raise ValueError("compute throughput fraction must be within (0, 1]")
         is_edge = stage == 0 or stage == pp - 1
-        if self.memoize:
-            key = (
-                self._workload_key(workload),
-                layers_in_stage,
-                tp,
-                recomputed_ops,
-                is_edge,
-                link_quality,
-                compute_throughput,
-            )
-            cached = self._stage_times.get(key)
-            if cached is not None:
-                return cached
-        times = self._price_stage(
-            workload, layers_in_stage, tp, recomputed_ops, is_edge,
-            link_quality, compute_throughput,
-        )
-        if self.memoize:
-            self._stage_times[key] = times
-        return times
+        profile = self._layer_profile(workload, tp, link_quality, compute_throughput)
+        return self._price_stage(profile, layers_in_stage, recomputed_ops, is_edge)
 
-    def _price_stage(
+    def _layer_profile(
         self,
         workload: TrainingWorkload,
-        layers_in_stage: int,
         tp: int,
-        recomputed_ops: FrozenSet[str],
-        is_edge: bool,
         link_quality: float,
         compute_throughput: float,
-    ) -> StageTimes:
-        """Price one stage signature (the memoized body of :meth:`stage_times`)."""
+    ) -> _LayerProfile:
+        """One layer's pricing on a TP group (memoized; see the class docstring)."""
+        if self.memoize:
+            key = (self._workload_key(workload), tp, compute_throughput, link_quality)
+            profile = self._layer_profiles.get(key)
+            if profile is not None:
+                return profile
         operators = self._layer_graph(workload)
 
         # Batch-profile the whole layer graph: one struct-of-arrays roofline pass on a
         # cold profile table instead of an operator-by-operator walk.
-        latencies = self.profile.latencies([op.sharded(tp) for op in operators])
+        latencies = []
         fwd_compute = 0.0
-        recompute_time = 0.0
-        for op, base_latency in zip(operators, latencies):
+        for base_latency in self.profile.latencies([op.sharded(tp) for op in operators]):
             latency = base_latency / compute_throughput
+            latencies.append(latency)
             fwd_compute += latency
-            if op.name in recomputed_ops:
-                recompute_time += latency
-        tp_comm = self.layer_tp_comm_time(operators, tp, link_quality)
+        embed = embedding_operator(
+            workload.model, workload.micro_batch_size, workload.seq_len
+        ).sharded(tp)
+        profile = _LayerProfile(
+            names=tuple(op.name for op in operators),
+            latencies=tuple(latencies),
+            fwd_compute=fwd_compute,
+            tp_comm=self.layer_tp_comm_time(operators, tp, link_quality),
+            embed_time=self.profile.latency(embed) / compute_throughput,
+        )
+        if self.memoize:
+            self._layer_profiles[key] = profile
+        return profile
+
+    @staticmethod
+    def _price_stage(
+        profile: _LayerProfile,
+        layers_in_stage: int,
+        recomputed_ops: FrozenSet[str],
+        is_edge: bool,
+    ) -> StageTimes:
+        """Price one stage signature from its layer profile."""
+        recompute_time = 0.0
+        if recomputed_ops:
+            for name, latency in zip(profile.names, profile.latencies):
+                if name in recomputed_ops:
+                    recompute_time += latency
+        fwd_compute = profile.fwd_compute
+        tp_comm = profile.tp_comm
 
         fwd_layer = fwd_compute + tp_comm
         bwd_layer = 2.0 * fwd_compute + tp_comm
-        recompute_layer = recompute_time
 
         forward = layers_in_stage * fwd_layer
         backward = layers_in_stage * bwd_layer
-        recompute = layers_in_stage * recompute_layer
+        recompute = layers_in_stage * recompute_time
 
         # Embedding / output head on the edge stages.
         if is_edge:
-            embed = self._embedding_operator(workload, tp)
-            embed_time = self.profile.latency(embed) / compute_throughput
+            embed_time = profile.embed_time
             forward += embed_time
             backward += 2.0 * embed_time
 

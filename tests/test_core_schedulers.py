@@ -76,6 +76,36 @@ class TestEvaluator:
         assert moved.stage_memory_bytes[0] < base.stage_memory_bytes[0]
         assert moved.stage_memory_bytes[3] > base.stage_memory_bytes[3]
 
+    def test_in_place_faults_bypass_route_reuse(self, small_wafer, tiny_workload):
+        evaluator = Evaluator(small_wafer, use_cache=False)
+        plan = simple_plan()
+        healthy = evaluator.evaluate(tiny_workload, plan)
+        # The link carries the stage 1 -> 2 activation transfer of the serpentine placement.
+        evaluator.faults.add_die_fault((0, 0), 0.5)
+        evaluator.faults.add_link_fault(((1, 0), (2, 0)), 0.2)
+        faulty = evaluator.evaluate(tiny_workload, plan)
+        fresh_faults = FaultModel()
+        fresh_faults.add_die_fault((0, 0), 0.5)
+        fresh_faults.add_link_fault(((1, 0), (2, 0)), 0.2)
+        fresh = Evaluator(small_wafer, faults=fresh_faults, use_cache=False)
+        assert faulty == fresh.evaluate(tiny_workload, plan)
+        assert faulty != healthy
+
+    def test_collective_fan_out_prices_like_fresh_evaluators(self, config3):
+        from repro.workloads.models import get_model
+
+        workload = TrainingWorkload(
+            get_model("llama2-30b"), global_batch_size=128, micro_batch_size=4, sequence_length=4096
+        )
+        evaluator = Evaluator(config3, use_cache=False)
+        records = CentralScheduler(config3, evaluator=evaluator).explore(workload)
+        assert any(record.plan.mem_pairs for record in records)
+        collectives = {record.plan.collective for record in records}
+        assert collectives == {CollectiveAlgorithm.BIDIRECTIONAL_RING, CollectiveAlgorithm.TACOS}
+        for record in records:
+            fresh = Evaluator(config3, use_cache=False)
+            assert record.result == fresh.evaluate(workload, record.plan)
+
     def test_offloading_slower_than_recomputation(self, config3):
         # Fig. 6b: at wafer scale, recomputing on-wafer beats evicting checkpoints over
         # the comparatively narrow host link.  This is a regime claim about real wafer
