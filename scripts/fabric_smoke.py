@@ -263,7 +263,7 @@ def run_orchestrator() -> int:
 
 def run_poison_phase(store_dir: str) -> int:
     """A cell that raises on every host must quarantine under the global budget."""
-    from repro.fabric import FabricCoordinator
+    from repro.fabric.server import FabricCoordinator
 
     def poison_factory():
         raise RuntimeError("poisoned workload factory")

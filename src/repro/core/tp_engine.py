@@ -180,8 +180,8 @@ class TPEngine:
                 return profile
         operators = self._layer_graph(workload)
 
-        # Batch-profile the whole layer graph: one struct-of-arrays roofline pass on a
-        # cold profile table instead of an operator-by-operator walk.
+        # Batch-profile the whole layer graph: one lookup_many pass that prices each
+        # unique shape once on a cold profile table.
         latencies = []
         fwd_compute = 0.0
         for base_latency in self.profile.latencies([op.sharded(tp) for op in operators]):

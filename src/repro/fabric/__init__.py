@@ -13,10 +13,10 @@ Layering: :mod:`repro.fabric.protocol` (framing, endpoints, errors) and
 :mod:`repro.fabric.leases` (lease table + append-only journal) are stdlib-only and
 import nothing from the rest of the package, so the chaos harness can hook the wire
 without cycles; :mod:`repro.fabric.server` and :mod:`repro.fabric.client` sit above
-the API stores.
+the API stores.  This package re-exports only the protocol names: import
+``FabricCoordinator`` and ``FabricClient`` from their submodules.
 """
 
-from repro.fabric.client import FabricClient
 from repro.fabric.protocol import (
     PROTOCOL_VERSION,
     Endpoint,
@@ -26,14 +26,11 @@ from repro.fabric.protocol import (
     looks_like_endpoint,
     parse_endpoint,
 )
-from repro.fabric.server import FabricCoordinator
 
 __all__ = [
     "PROTOCOL_VERSION",
     "Endpoint",
-    "FabricClient",
     "FabricConnectionError",
-    "FabricCoordinator",
     "FabricError",
     "FabricProtocolError",
     "looks_like_endpoint",

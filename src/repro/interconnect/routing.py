@@ -5,9 +5,9 @@ and a link-load tracker used to detect contention between communication tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.interconnect.topology import MeshTopology
 
@@ -54,24 +54,69 @@ def fault_aware_path(mesh: MeshTopology, src: Coord, dst: Coord) -> List[Coord]:
     """
     if mesh.faults.is_empty:
         return xy_path(src, dst)
-    graph = mesh.graph()
-    if src not in graph or dst not in graph:
+    adj = mesh.adjacency()
+    if src not in adj or dst not in adj:
         return xy_path(src, dst)
-    try:
-        return nx.shortest_path(graph, src, dst, weight="weight")
-    except nx.NetworkXNoPath:
-        return xy_path(src, dst)
+    path = _bidirectional_unit_dijkstra(adj, src, dst)
+    return path if path is not None else xy_path(src, dst)
 
 
-def all_shortest_paths(mesh: MeshTopology, src: Coord, dst: Coord, limit: int = 16) -> List[List[Coord]]:
-    """Up to ``limit`` distinct shortest paths between two dies (used by Eq. 2)."""
-    graph = mesh.graph()
-    paths = []
-    for path in nx.all_shortest_paths(graph, src, dst, weight="weight"):
-        paths.append(path)
-        if len(paths) >= limit:
-            break
-    return paths
+def _bidirectional_unit_dijkstra(
+    adj: Dict[Coord, List[Coord]], source: Coord, target: Coord
+) -> Optional[List[Coord]]:
+    """Unit-weight bidirectional Dijkstra; ``None`` when ``target`` is unreachable.
+
+    A port of ``bidirectional_dijkstra`` from NetworkX 3.6.1 (BSD-3-Clause,
+    Copyright (C) 2004-2025 NetworkX Developers) restricted to unit edge weights.
+    It keeps the alternating directions, the ``(dist, counter, node)`` heaps and the
+    ``seen``/``preds``/meet-node bookkeeping, so among equal-length routes it picks
+    the same one, given neighbours in the same order.
+    """
+    if source == target:
+        return [source]
+    dists: List[Dict[Coord, int]] = [{}, {}]
+    preds: List[Dict[Coord, Optional[Coord]]] = [{source: None}, {target: None}]
+    seen: List[Dict[Coord, int]] = [{source: 0}, {target: 0}]
+    fringe: List[list] = [[], []]
+    counter = count()
+    heappush(fringe[0], (0, next(counter), source))
+    heappush(fringe[1], (0, next(counter), target))
+    finaldist: Optional[int] = None
+    meetnode: Optional[Coord] = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        done = dists[direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in dists[1 - direction]:
+            forward: List[Coord] = []
+            node: Optional[Coord] = meetnode
+            while node is not None:
+                forward.append(node)
+                node = preds[0][node]
+            forward.reverse()
+            node = preds[1][meetnode]
+            while node is not None:
+                forward.append(node)
+                node = preds[1][node]
+            return forward
+        seen_here, seen_there = seen[direction], seen[1 - direction]
+        length = dist + 1
+        for w in adj[v]:
+            if w in done:
+                continue
+            if w not in seen_here or length < seen_here[w]:
+                seen_here[w] = length
+                heappush(fringe[direction], (length, next(counter), w))
+                preds[direction][w] = v
+                if w in seen_there:
+                    total = length + seen_there[w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, w
+    return None
 
 
 @dataclass
@@ -110,7 +155,7 @@ class LinkLoadTracker:
 
     def utilization(self) -> float:
         """Fraction of mesh links carrying any traffic (Fig. 5b style metric)."""
-        total_links = len(self.mesh.links())
+        total_links = self.mesh.num_links
         return self.busy_links() / total_links if total_links else 0.0
 
     def congestion_time(

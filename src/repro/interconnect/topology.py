@@ -9,9 +9,7 @@ wafer-to-wafer fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.faults import FaultModel
 from repro.hardware.template import WaferConfig
@@ -74,6 +72,11 @@ class MeshTopology:
         candidates = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
         return [c for c in candidates if self.contains(c)]
 
+    @property
+    def num_links(self) -> int:
+        """``len(self.links())`` without building the list."""
+        return (self.dies_x - 1) * self.dies_y + self.dies_x * (self.dies_y - 1)
+
     def links(self) -> List[Link]:
         out: List[Link] = []
         for x in range(self.dies_x):
@@ -97,19 +100,19 @@ class MeshTopology:
     def link_quality(self, a: Coord, b: Coord) -> float:
         return self.faults.link_quality(_canonical((a, b)))
 
-    def graph(self) -> nx.Graph:
-        """A networkx view with dead dies/links removed and bandwidths as edge weights."""
-        g = nx.Graph()
-        for die in self.healthy_dies():
-            g.add_node(die)
+    def adjacency(self) -> Dict[Coord, List[Coord]]:
+        """Neighbour lists of the healthy mesh: dead dies and dead links removed.
+
+        Keys follow :meth:`healthy_dies`; each die's neighbours are appended in
+        :meth:`links` order.  Built per call because fault models are mutated in place.
+        """
+        adj: Dict[Coord, List[Coord]] = {die: [] for die in self.healthy_dies()}
         for a, b in self.links():
-            quality = self.faults.link_quality((a, b))
-            if quality <= 0.0:
-                continue
-            if a in g and b in g:
-                g.add_edge(a, b, bandwidth=self.link_bandwidth * quality,
-                           latency=self.link_latency, weight=1.0)
-        return g
+            # A dead endpoint also zeroes the link quality.
+            if self.faults.link_quality((a, b)) > 0.0:
+                adj[a].append(b)
+                adj[b].append(a)
+        return adj
 
     def bisection_bandwidth(self) -> float:
         """Bandwidth across the narrower mid-cut of the mesh."""

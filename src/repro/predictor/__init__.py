@@ -1,13 +1,13 @@
-"""Operator latency/memory predictors: analytical, DNN-based and the offline lookup table."""
+"""Operator latency/memory predictors: analytical, DNN-based and the offline lookup table.
+
+The DNN predictor needs numpy; import it from :mod:`repro.predictor.dnn`.
+"""
 
 from repro.predictor.analytical import AnalyticalPredictor, OperatorEstimate
-from repro.predictor.dnn import MlpRegressor, DnnOperatorPredictor
 from repro.predictor.lookup import OperatorProfileTable
 
 __all__ = [
     "AnalyticalPredictor",
     "OperatorEstimate",
-    "MlpRegressor",
-    "DnnOperatorPredictor",
     "OperatorProfileTable",
 ]

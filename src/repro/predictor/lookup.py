@@ -78,13 +78,13 @@ class OperatorProfileTable:
         return entry
 
     def lookup_many(self, ops: Sequence[Operator]) -> List[ProfileEntry]:
-        """Profile a whole operator graph in one pass (the vectorized miss path).
+        """Profile a whole operator graph in one pass (the batched miss path).
 
         Cached operators are answered from the table; the remaining *unique* shapes are
-        priced in one ``estimate_batch`` call when the predictor supports it (the
-        analytical model's struct-of-arrays roofline), falling back to per-operator
-        calls otherwise.  Counter semantics match a sequence of :meth:`lookup` calls:
-        a shape appearing twice in one batch is one miss plus one hit.
+        priced in one ``estimate_batch`` call when the predictor supports it, falling
+        back to per-operator calls otherwise.  Counter semantics match a sequence of
+        :meth:`lookup` calls: a shape appearing twice in one batch is one miss plus one
+        hit.
         """
         die_key = _die_key(self.die)
         keys = [(die_key,) + _operator_key(op) for op in ops]

@@ -41,7 +41,7 @@ from repro.api.cli import main as repro_main
 from repro.api.registry import register_workload
 from repro.core.chaos import ChaosMonkey
 from repro.core.retry import RetryPolicy
-from repro.fabric import FabricClient, FabricCoordinator
+from repro.fabric.client import FabricClient
 from repro.fabric.leases import LeaseJournal, LeaseTable
 from repro.fabric.protocol import (
     FabricConnectionError,
@@ -49,6 +49,7 @@ from repro.fabric.protocol import (
     looks_like_endpoint,
     parse_endpoint,
 )
+from repro.fabric.server import FabricCoordinator
 
 
 @pytest.fixture(autouse=True)

@@ -31,17 +31,23 @@ class TestMesh:
         assert mesh.link_bandwidth == pytest.approx(small_wafer.die.d2d_link_bandwidth)
         assert mesh.num_dies == small_wafer.num_dies
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 3), (8, 8), (10, 7)])
+    def test_num_links_matches_links(self, shape):
+        mesh = MeshTopology(*shape, link_bandwidth=1e12)
+        assert mesh.num_links == len(mesh.links())
+
     def test_graph_has_all_nodes_and_edges_when_healthy(self, mesh):
-        graph = mesh.graph()
-        assert graph.number_of_nodes() == 12
-        assert graph.number_of_edges() == len(mesh.links())
+        adj = mesh.adjacency()
+        assert len(adj) == 12
+        assert sum(len(neighbours) for neighbours in adj.values()) // 2 == len(mesh.links())
 
     def test_faults_remove_dead_dies_from_graph(self):
         faults = FaultModel()
         faults.add_die_fault((0, 0), 0.0)
         mesh = MeshTopology(4, 4, 1e12, faults=faults)
-        graph = mesh.graph()
-        assert (0, 0) not in graph
+        adj = mesh.adjacency()
+        assert (0, 0) not in adj
+        assert all((0, 0) not in neighbours for neighbours in adj.values())
         assert len(mesh.healthy_dies()) == 15
 
     def test_degraded_link_reduces_bandwidth(self):

@@ -1,6 +1,6 @@
 """Tests for the scale-out DSE subsystem: parallel-vs-serial bit-identity of the
 multi-wafer GA and ``Watos.explore``, per-wafer RNG streams, shared-cache routing in
-the hardware DSE, and the vectorized predictor batch path.
+the hardware DSE, and the batched predictor path.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ class TestDseSharedCache:
         warm.cache.close()
 
 
-# ------------------------------------------------------------ vectorized predictor
+# --------------------------------------------------------------- batched predictor
 class TestVectorizedPredictor:
     def _sharded_ops(self, tp=4):
         model = make_tiny_model()
