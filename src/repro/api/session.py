@@ -11,14 +11,14 @@ The paper's workflow is one pipeline — workload × wafer → plan search → D
 
 ``Session.run(spec)`` executes an :class:`~repro.api.ExperimentSpec` on any of the
 four search loops and returns a uniform :class:`~repro.api.RunResult`; entering the
-session (``with Session(...):``) additionally makes it *ambient*, so legacy-style
-bare loop calls inside the block share its pool and cache instead of building
+session (``with Session(...):``) additionally makes it *ambient*, so bare loop calls
+(no ``session=``) inside the block share its pool and cache instead of building
 ephemeral ones.  :func:`default_session` parks one process-wide session for scripts
 that want sharing without a ``with`` block.
 
 Everything a session does is pure orchestration — pool pricing is memoization, cache
-warm starts round-trip exactly — so ``Session.run`` is bit-identical to the legacy
-direct-call path (asserted in ``tests/test_session.py``).
+warm starts round-trip exactly — so ``Session.run`` is bit-identical to calling the
+loops directly (asserted in ``tests/test_session.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import queue
 import threading
 import time
 import traceback
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Union
 
 from repro.obs import tracer as _obs
 from repro.obs.report import fold_timings
@@ -86,8 +86,6 @@ class Session:
         worker count (``None``/0/1 serial, negative = all CPUs), or an existing
         :class:`WorkerPool` to adopt (the caller owns and closes it).  The pool is
         forked lazily on first use and joined when the session closes.
-    workers:
-        Deprecated alias of ``pool`` (warns once; kept for pre-PoolConfig callers).
     cache / store:
         Either an existing :class:`EvaluationCache` to adopt (flushed but not
         closed on exit — the caller owns it), or a store path (``.jsonl`` /
@@ -123,10 +121,9 @@ class Session:
 
     def __init__(
         self,
-        workers: Optional[Union[int, WorkerPool]] = None,
+        *,
         cache: Optional[EvaluationCache] = None,
         store: Optional[str] = None,
-        *,
         pool: Optional[Union[int, PoolConfig, WorkerPool]] = None,
         read_through: bool = False,
         max_entries: Optional[int] = 65536,
@@ -141,16 +138,6 @@ class Session:
     ) -> None:
         if cache is not None and store is not None:
             raise ValueError("pass either cache= (adopted) or store= (owned), not both")
-        if workers is not None:
-            if pool is not None:
-                raise ValueError(
-                    "pass either pool= or the deprecated workers= alias, not both"
-                )
-            runtime.warn_legacy(
-                "Session(workers=...)",
-                hint="pass pool= (an int, PoolConfig or WorkerPool) instead",
-            )
-            pool = workers
         #: Connected :class:`~repro.fabric.client.FabricClient` when ``store`` names
         #: a ``repro serve`` coordinator (``host:port[/namespace]``), else ``None``.
         self.fabric = None
@@ -373,32 +360,12 @@ class Session:
         order), retry/quarantine still applies per cell, and every row is
         bit-identical to the serial walk because pricing is pure.
 
-        A bare ``list`` of :class:`ExperimentSpec` still works exactly as before —
-        wrapped as a trivial :class:`SweepSpec` after a one-time
-        ``DeprecationWarning``, and run *eagerly* to an indexable list, the PR 4
-        contract.  Pass ``SweepSpec.from_specs([...])`` to get the streaming
-        generator (and no warning) for an explicit cell list.
+        ``sweep`` is any shape :meth:`SweepSpec.from_payload` accepts: a
+        :class:`SweepSpec`, a single :class:`ExperimentSpec` or spec dict, or a
+        list of specs (an explicit cell list, like a JSON-array sweep file).
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        if (
-            not isinstance(sweep, (SweepSpec, ExperimentSpec, Mapping, str, bytes))
-            and not isinstance(sweep, (list, tuple))
-            and hasattr(sweep, "__iter__")
-        ):
-            # PR 4 accepted any iterable of specs; keep generators/iterators on
-            # the same shim path as bare lists.
-            sweep = list(sweep)
-        legacy_list = isinstance(sweep, (list, tuple))
-        if legacy_list:
-            runtime.warn_legacy(
-                "Session.sweep(list)",
-                hint="wrap the specs in a SweepSpec "
-                "(repro.api.SweepSpec.from_specs) instead",
-            )
-            # The PR 4 contract was one result per spec, positionally — never
-            # skip, even when a store already holds some of the cells.
-            resume = False
         spec = as_sweep_spec(sweep)
         cells = spec.expand()
         if self._trace_path is not None:
@@ -415,8 +382,6 @@ class Session:
         effective_jobs = schedule.jobs if schedule is not None else jobs
         if effective_jobs is None:
             effective_jobs = spec.jobs if spec.jobs is not None else 1
-        if legacy_list:
-            effective_jobs = 1  # the positional-list contract predates scheduling
         max_buffered = schedule.max_buffered if schedule is not None else None
         owns_store = isinstance(results, (str, os.PathLike))
         store: Optional[ResultStore]
@@ -429,7 +394,7 @@ class Session:
         else:
             store = runtime.current_results()
         policy = retry or self.retry or RetryPolicy()
-        if self.fabric is not None and not legacy_list:
+        if self.fabric is not None:
             # Distributed mode: the coordinator owns the queue, resume semantics
             # and the authoritative store.  A local ``results=``/ambient store (if
             # any) still gets rows written through, so each host keeps a replica.
@@ -437,16 +402,14 @@ class Session:
                 cells, store, owns_store, policy, keep_going, skip_failed
             )
         if effective_jobs > 1 and len(cells) > 1:
-            stream = self._sweep_parallel_iter(
+            return self._sweep_parallel_iter(
                 cells, store, resume, owns_store, completed, policy, keep_going,
                 skip_failed, effective_jobs, max_buffered,
             )
-        else:
-            stream = self._sweep_iter(
-                cells, store, resume, owns_store, completed, policy, keep_going,
-                skip_failed,
-            )
-        return list(stream) if legacy_list else stream
+        return self._sweep_iter(
+            cells, store, resume, owns_store, completed, policy, keep_going,
+            skip_failed,
+        )
 
     def _sweep_iter(
         self,
@@ -963,17 +926,17 @@ class Session:
 
     # ------------------------------------------------------------------ default
     @classmethod
-    def default(cls, workers: Optional[int] = None, **kwargs: Any) -> "Session":
+    def default(cls, **kwargs: Any) -> "Session":
         """The process-wide default session (see :func:`default_session`)."""
-        return default_session(workers, **kwargs)
+        return default_session(**kwargs)
 
 
-def default_session(workers: Optional[int] = None, **kwargs: Any) -> Session:
+def default_session(**kwargs: Any) -> Session:
     """The process-wide shared session, created on first call.
 
     Later calls return the same object (arguments are ignored once it exists), so
     library code and scripts can say ``default_session().run(spec)`` — or configure
-    workers once (``default_session(workers=8)``) and have every bare loop call in
+    the pool once (``default_session(pool=8)``) and have every bare loop call in
     the process share that pool instead of building ephemeral ones.  The session is
     closed automatically at interpreter exit (joining the pool and flushing any
     store); :func:`close_default_session` closes it earlier.
@@ -981,8 +944,6 @@ def default_session(workers: Optional[int] = None, **kwargs: Any) -> Session:
     existing = runtime.get_default_session()
     if existing is not None and not existing.closed:
         return existing
-    if workers is not None:  # the documented shorthand, not the deprecated kwarg
-        kwargs.setdefault("pool", workers)
     session = Session(**kwargs)
     runtime.set_default_session(session)
     return session

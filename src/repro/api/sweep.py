@@ -236,8 +236,8 @@ class SweepSpec:
     """A compact description of an experiment matrix (see module docstring).
 
     ``specs`` is the escape hatch for matrices that are already an explicit list of
-    :class:`ExperimentSpec` cells (what the legacy ``Session.sweep([...])`` call
-    wraps itself in); it cannot be combined with the grammar axes.
+    :class:`ExperimentSpec` cells (what ``Session.sweep([...])`` wraps a list in);
+    it cannot be combined with the grammar axes.
     """
 
     base: Union[Dict[str, Any], ExperimentSpec] = field(default_factory=dict)
@@ -288,8 +288,7 @@ class SweepSpec:
         explicit ``specs`` list instead get a deterministic ``-N`` id suffix.
         """
         if self.specs is not None:
-            # Explicit lists are user-authored, so repeated content is allowed
-            # (the legacy Session.sweep(list) shim ran such lists happily);
+            # Explicit lists are user-authored, so repeated content is allowed;
             # repeats get a deterministic position suffix instead of an error.
             cells: List[SweepCell] = []
             occurrences: Dict[str, int] = {}

@@ -9,13 +9,11 @@ DRAM allocation), evaluates every surviving plan and keeps the best.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence
 
 from repro.core.dram_allocation import DramAllocator
-from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import EvaluationResult, Evaluator
-from repro.core.parallel_map import WorkerPool
 from repro.core.placement import PlacementOptimizer, serpentine_placement
 from repro.core.plan import RecomputeConfig, TrainingPlan
 from repro.core.recomputation import GcmrScheduler
@@ -47,14 +45,11 @@ class CentralScheduler:
 
     wafer: WaferConfig
     evaluator: Optional[Evaluator] = None
-    #: Shared evaluation cache used when no explicit ``evaluator`` is supplied.
-    #: Deprecated in favour of ``session=`` — a :class:`repro.api.Session` supplies
-    #: both the cache and the worker pool; the kwarg remains as a one-warning shim.
-    cache: Optional[EvaluationCache] = None
     #: The owning :class:`repro.api.Session` (or any object with ``.cache`` /
-    #: ``.parallel``).  When neither it nor ``cache``/``evaluator`` is given, the
-    #: ambient session (``with Session(...):`` / ``default_session()``) is used.
-    session: Optional[object] = None
+    #: ``.parallel``); it supplies the worker pool and, when no ``evaluator`` is
+    #: given, the evaluation cache.  Without one the ambient session
+    #: (``with Session(...):`` / ``default_session()``) is used.
+    session: Optional[object] = field(default=None, kw_only=True)
     collective: CollectiveAlgorithm = CollectiveAlgorithm.BIDIRECTIONAL_RING
     #: Collective algorithms the TP engine is allowed to explore (§IV-E-1: "can also be
     #: configured to explore other intra-stage communication mechanisms").
@@ -67,15 +62,9 @@ class CentralScheduler:
     optimize_placement: bool = True
 
     def __post_init__(self) -> None:
-        resolved = resolve_loop_session(
-            self.session,
-            cache=self.cache if self.evaluator is None else None,
-            api="CentralScheduler(cache=)",
-        )
-        if self.session is None:
-            self.session = resolved
+        self.session = resolve_loop_session(self.session)
         if self.evaluator is None:
-            cache = resolved.cache if resolved is not None else None
+            cache = self.session.cache if self.session is not None else None
             self.evaluator = Evaluator(self.wafer, cache=cache)
         self._gcmr = GcmrScheduler(self.wafer)
         self._mesh = MeshTopology.from_wafer(self.wafer)
@@ -172,7 +161,7 @@ class CentralScheduler:
         self,
         workload: TrainingWorkload,
         model_parallel_dies: Optional[int] = None,
-        parallel: Union[int, WorkerPool, None] = None,
+        *,
         session=None,
     ) -> List[ExplorationRecord]:
         """Evaluate every surviving (TP, PP, split-strategy) candidate.
@@ -180,15 +169,9 @@ class CentralScheduler:
         ``session`` supplies the worker pool the surviving candidates are priced on
         (defaulting to the scheduler's own session, then the ambient one); candidate
         construction and result order are unchanged, so the records match the serial
-        run exactly.  ``parallel`` is the deprecated spelling (a :class:`WorkerPool`
-        or an integer for an ephemeral pool, negative = all CPUs); it warns once.
+        run exactly.
         """
-        resolved = resolve_loop_session(
-            session,
-            parallel=parallel,
-            api="CentralScheduler.explore(parallel=)",
-            fallback=self.session,
-        )
+        resolved = resolve_loop_session(session, fallback=self.session)
         parallel = resolved.parallel if resolved is not None else None
         mp = model_parallel_dies or self.wafer.num_dies
         if mp > self.wafer.num_dies:
@@ -214,15 +197,13 @@ class CentralScheduler:
         self,
         workload: TrainingWorkload,
         model_parallel_dies: Optional[int] = None,
-        parallel: Union[int, WorkerPool, None] = None,
+        *,
         session=None,
     ) -> Optional[ExplorationRecord]:
         """The highest-throughput record, or ``None`` when everything was pruned."""
         records = [
             record
-            for record in self.explore(
-                workload, model_parallel_dies, parallel=parallel, session=session
-            )
+            for record in self.explore(workload, model_parallel_dies, session=session)
             if not record.result.oom
         ]
         if not records:

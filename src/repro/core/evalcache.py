@@ -27,11 +27,11 @@ namespace — bumping :data:`CACHE_SCHEMA_VERSION` (or evaluating with a differe
 fingerprint vocabulary) invalidates stale stores instead of serving wrong results.
 Corrupt rows or a truncated store degrade to a cold start, never an error.
 
-**Scale-out.**  Worker processes evaluate against a private cache seeded from the
-parent's entries (:meth:`seed`), and the parent merges each worker's freshly priced
-entries back (:meth:`delta` / :meth:`absorb`), so one shared store serves a whole
-multi-wafer or wafer×workload fan-out.  For *long-lived* workers (the persistent
-:class:`~repro.core.parallel_map.WorkerPool`), entries carry monotonic sequence
+**Scale-out.**  Worker processes (the persistent
+:class:`~repro.core.parallel_map.WorkerPool`) evaluate against a private cache shard
+seeded from the parent's entries (:meth:`seed`), and the parent merges each worker's
+freshly priced entries back (:meth:`absorb_carry`), so one shared store serves a
+whole multi-wafer or wafer×workload fan-out.  Entries carry monotonic sequence
 numbers so both directions of that flow are delta-only: :meth:`export_since` ships
 only entries priced after a per-worker watermark, and :meth:`take_carry` ships only
 work done since the previous carry.  Very large warm stores can skip snapshot
@@ -733,7 +733,7 @@ class EvaluationCache:
 
     ``read_through=True`` on a store with point lookups (sqlite) skips the up-front
     load entirely: misses fall through to the store file, and entries adopted that
-    way stay out of :meth:`delta`/:meth:`export_since` (every process sharing the
+    way stay out of :meth:`take_carry`/:meth:`export_since` (every process sharing the
     store can fetch them itself).  Stores without point lookups (JSONL) degrade to
     the ordinary full warm start.
     """
@@ -750,7 +750,7 @@ class EvaluationCache:
         self.max_entries = max_entries or None
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        #: Keys adopted via :meth:`seed` (warm start) — excluded from :meth:`delta`.
+        #: Keys adopted via :meth:`seed` (warm start) — excluded from :meth:`take_carry`.
         self._seeded: set = set()
         #: Entries priced since the last :meth:`flush` (survives LRU eviction).
         self._dirty: Dict[str, Any] = {}
@@ -922,7 +922,7 @@ class EvaluationCache:
         """Adopt warm entries without touching hit/miss counters or the dirty set.
 
         Used for store warm-starts and for handing a parent cache's contents to a
-        worker process; seeded keys are excluded from :meth:`delta` so workers only
+        worker process; seeded keys are excluded from :meth:`take_carry` so workers only
         ship freshly priced results back.  ``max_entries`` still bounds the in-memory
         result: when a persisted store has outgrown the bound, only the newest
         entries stay resident (the store keeps everything).
@@ -974,17 +974,6 @@ class EvaluationCache:
                     entries[key] = self._entries[key]
             return entries, self._seq
 
-    def delta(self) -> Dict[str, Any]:
-        """Entries priced by *this* cache instance: everything not seeded into it."""
-        with self._lock:
-            fresh = {k: v for k, v in self._entries.items() if k not in self._seeded}
-            # Include dirty entries the LRU has already evicted — they were still
-            # priced here and the parent/store wants them.
-            for key, value in self._dirty.items():
-                if key not in self._seeded:
-                    fresh.setdefault(key, value)
-            return fresh
-
     def absorb(self, delta: Mapping[str, Any]) -> int:
         """Merge a worker's delta; new entries count toward the next :meth:`flush`."""
         with self._lock:
@@ -995,20 +984,15 @@ class EvaluationCache:
                     adopted += 1
             return adopted
 
-    def carry(self) -> Dict[str, Any]:
-        """What a worker ships back to the parent: its delta plus a counter snapshot."""
-        return {"delta": self.delta(), "stats": self.stats.as_dict()}
-
     def take_carry(self) -> Dict[str, Any]:
-        """The worker→parent half of the delta-only sync, for *long-lived* shards.
+        """The worker→parent half of the delta-only sync.
 
-        Unlike :meth:`carry` (built for throwaway per-task caches), the shipped
-        entries are marked as adopted afterwards and the counters are shipped as
-        increments over the previous call, so a resident shard that survives many
-        submissions never re-ships work or double-counts stats.  The delta comes
-        from the side dict :meth:`put` maintains, so the cost is O(entries priced
-        since the last carry), not O(cache) — per-submission carry cost must not
-        grow with the life of the shard.
+        The shipped entries are marked as adopted afterwards and the counters are
+        shipped as increments over the previous call, so a resident shard that
+        survives many submissions never re-ships work or double-counts stats.  The
+        delta comes from the side dict :meth:`put` maintains, so the cost is
+        O(entries priced since the last carry), not O(cache) — per-submission carry
+        cost must not grow with the life of the shard.
         """
         with _obs.span("cache.sync", tag="take_carry"), self._lock:
             delta: Dict[str, Any] = {}
@@ -1031,7 +1015,7 @@ class EvaluationCache:
             return {"delta": delta, "stats": increment}
 
     def absorb_carry(self, carry: Optional[Mapping[str, Any]]) -> None:
-        """Fold a worker's :meth:`carry` into this cache (entries and counters)."""
+        """Fold a worker's :meth:`take_carry` into this cache (entries and counters)."""
         if carry is None:
             return
         with self._lock:

@@ -9,14 +9,16 @@ refines it.  The result object carries the best architecture, the mapping scheme
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.central_scheduler import CentralScheduler, ExplorationRecord
 from repro.core.evalcache import EvaluationCache
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.parallel_map import (
+    PoolConfig,
     WorkerPool,
     parallel_map_merge,
     resolve_workers,
@@ -162,7 +164,7 @@ class Watos:
         collective: CollectiveAlgorithm = CollectiveAlgorithm.BIDIRECTIONAL_RING,
         split_strategies: Sequence[TPSplitStrategy] = (TPSplitStrategy.HIDDEN,),
         max_tp: int = 0,
-        cache: Optional[EvaluationCache] = None,
+        *,
         session=None,
     ) -> None:
         if candidates is None and enumerator is None:
@@ -176,9 +178,8 @@ class Watos:
         self.split_strategies = tuple(split_strategies)
         self.max_tp = max_tp
         #: The owning :class:`repro.api.Session`; it supplies the shared cache and
-        #: worker pool.  The legacy ``cache=`` kwarg warns once and behaves as an
-        #: implicit single-knob session; without either, the ambient session is used.
-        self.session = resolve_loop_session(session, cache=cache, api="Watos(cache=)")
+        #: worker pool.  Without one, the ambient session is used.
+        self.session = resolve_loop_session(session)
         #: One content-addressed cache shared by every (wafer, workload) point — the
         #: fingerprint covers the wafer, so heterogeneous candidates coexist safely.
         #: Attach a store (``EvaluationCache(store=path)``) to persist across runs.
@@ -197,7 +198,7 @@ class Watos:
         """
         resolved = resolve_loop_session(session, fallback=self.session)
         # Pools and integers both pass straight through to the nested loops (an
-        # integer means ephemeral pools inside them, the legacy semantics).
+        # integer means ephemeral pools inside them).
         inner = SessionHandle(parallel=resolved.parallel if resolved is not None else None)
         evaluator = Evaluator(wafer, cache=self.cache)
         scheduler = CentralScheduler(
@@ -228,16 +229,14 @@ class Watos:
     def explore(
         self,
         workloads: Sequence[TrainingWorkload],
-        parallel: Union[int, WorkerPool, None] = None,
+        *,
         session=None,
         nest: str = "points",
     ) -> WatosResult:
         """Run the co-exploration over every candidate wafer and every workload.
 
         ``session`` supplies the worker pool (defaulting to the Watos instance's own
-        session, then the ambient one); ``parallel`` is the deprecated spelling — a
-        persistent :class:`WorkerPool` shared with other sweeps, or an integer for an
-        ephemeral pool (negative = all CPUs) — and warns once.
+        session, then the ambient one).
 
         ``nest`` picks which loop level the pool accelerates:
 
@@ -255,12 +254,7 @@ class Watos:
         """
         if nest not in ("points", "inner"):
             raise ValueError(f"nest must be 'points' or 'inner', not {nest!r}")
-        resolved = resolve_loop_session(
-            session,
-            parallel=parallel,
-            api="Watos.explore(parallel=)",
-            fallback=self.session,
-        )
+        resolved = resolve_loop_session(session, fallback=self.session)
         parallel = resolved.parallel if resolved is not None else None
         points = [
             (wafer, workload) for wafer in self.candidates for workload in workloads
@@ -271,17 +265,19 @@ class Watos:
             # prices against the shared cache directly (zero copies).  An integer
             # still means "this many workers" — it is promoted to one pool that
             # lives for the whole explore, not an ephemeral pool per inner call.
-            if isinstance(parallel, WorkerPool):
+            lent = (
+                nullcontext(parallel)
+                if isinstance(parallel, WorkerPool)
+                else WorkerPool(
+                    cache=self.cache,
+                    config=PoolConfig(max_workers=resolve_workers(parallel)),
+                )
+            )
+            with lent as pool:
                 priced = [
-                    task.price(point, cache=self.cache, inner_pool=parallel)
+                    task.price(point, cache=self.cache, inner_pool=pool)
                     for point in points
                 ]
-            else:
-                with WorkerPool(resolve_workers(parallel), cache=self.cache) as pool:
-                    priced = [
-                        task.price(point, cache=self.cache, inner_pool=pool)
-                        for point in points
-                    ]
         else:
             priced = parallel_map_merge(
                 task, points, parallel=parallel, cache=self.cache

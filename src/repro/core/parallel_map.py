@@ -280,17 +280,17 @@ def _worker_main(task_conn, result_conn, index: int = 0) -> None:
 class WorkerPool:
     """A long-lived, supervised, elastic fork pool with worker-resident cache shards.
 
-    Create one pool per search — or per whole experiment matrix — and pass it
-    anywhere a ``parallel=`` argument accepts an integer::
+    Create one pool per search — or per whole experiment matrix — and hand it to
+    the loops through a session::
 
         with WorkerPool(cache=shared_cache, config=PoolConfig(max_workers=8)) as pool:
-            ga.optimize(seed_plan, parallel=pool)
-            scheduler.explore(workload, parallel=pool)
-            dse.sweep(parallel=pool)
+            with Session(cache=shared_cache, pool=pool) as session:
+                ga.optimize(seed_plan, session=session)
+                scheduler.explore(workload, session=session)
+                dse.sweep(session=session)
 
-    Sizing comes from a :class:`PoolConfig`; the legacy bare-int form
-    (``WorkerPool(8)``) still works behind a one-time :class:`DeprecationWarning`
-    and means a fixed pool (``min == max``).  ``min_workers`` fork on first use;
+    Sizing comes from a :class:`PoolConfig` (``WorkerPool()`` is a fixed pool of
+    every available CPU).  ``min_workers`` fork on first use;
     elastic pools grow toward ``max_workers`` when a map finds too few idle slots
     and shrink back after ``idle_shrink_s`` of idleness (``pool.grows`` /
     ``pool.shrinks`` count the transitions).
@@ -312,29 +312,11 @@ class WorkerPool:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
-        cache: Optional[EvaluationCache] = None,
         *,
-        chunk_retries: Optional[int] = None,
+        cache: Optional[EvaluationCache] = None,
         config: Optional[PoolConfig] = None,
     ) -> None:
-        if config is not None:
-            if workers is not None or chunk_retries is not None:
-                raise ValueError(
-                    "pass either config=PoolConfig(...) or the legacy "
-                    "workers=/chunk_retries= knobs, not both"
-                )
-        else:
-            if workers is not None or chunk_retries is not None:
-                runtime.warn_legacy(
-                    "WorkerPool(workers=int)",
-                    hint="pass config=PoolConfig(max_workers=..., chunk_retries=...) "
-                    "instead",
-                )
-            config = PoolConfig(
-                max_workers=workers,
-                chunk_retries=1 if chunk_retries is None else chunk_retries,
-            )
+        config = config if config is not None else PoolConfig()
         #: The :class:`PoolConfig` this pool was built from.
         self.config = config
         self.min_workers, self.workers = config.resolved()
@@ -1000,7 +982,6 @@ def parallel_map(
     func: Callable[[T], R],
     items: Sequence[T],
     parallel: Union[int, WorkerPool, None] = None,
-    chunksize: int = 1,
 ) -> List[R]:
     """Map ``func`` over ``items``, optionally on a worker pool, preserving order.
 
@@ -1008,10 +989,8 @@ def parallel_map(
     (an ephemeral pool is created for the call).  The serial fallback (``parallel in
     (None, 0, 1)`` or fewer than two items) runs the exact same function in-process,
     so parallel and serial runs return identical results whenever ``func`` is
-    deterministic.  ``chunksize`` is accepted for backwards compatibility; items are
-    always split into contiguous balanced chunks.
+    deterministic.  Items are split into contiguous balanced chunks.
     """
-    del chunksize  # block partitioning made the knob moot
     if isinstance(parallel, WorkerPool):
         return parallel.map(func, items, sync=False)
     workers = resolve_workers(parallel)

@@ -95,7 +95,13 @@ class FabricClient:
         self._sock = sock
         self._rfile = sock.makefile("rb")
         self._wfile = sock.makefile("wb")
-        self._hello()
+        try:
+            self._hello()
+        except BaseException:
+            # A rejected (or broken) handshake must not leave a half-open,
+            # un-handshaken connection behind for the next request to reuse.
+            self._teardown()
+            raise
 
     def _hello(self) -> None:
         send_frame(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def simulate_1f1b(inputs: PipelineCostInputs) -> PipelineResult:
     per task — O(tasks) instead of the former O(pp² · µbatches) polling scan.  Because
     every stage serialises its own tasks through ``stage_free`` and a task's start time
     depends only on already-finished dependencies, any topological replay computes
-    times identical to the reference simulator's (``simulate_1f1b_reference``).
+    times identical to the original polling scan, which the tests keep as a reference.
     """
     pp, n = inputs.num_stages, inputs.num_microbatches
     forward, backward = list(inputs.forward), list(inputs.backward)
@@ -197,69 +197,6 @@ def simulate_1f1b(inputs: PipelineCostInputs) -> PipelineResult:
             finish_b[stage][micro] = end
         stage_free[stage] = end
         stage_busy[stage] += duration
-
-    iteration_time = max(stage_free)
-    return PipelineResult(
-        iteration_time=iteration_time,
-        stage_busy_time=tuple(stage_busy),
-        stage_finish_time=tuple(stage_free),
-    )
-
-
-def simulate_1f1b_reference(inputs: PipelineCostInputs) -> PipelineResult:
-    """The original O(pp² · µbatches) polling-scan simulator.
-
-    Kept as the oracle for randomized equivalence tests of the event-driven scheduler
-    above; produces bit-for-bit identical results.
-    """
-    pp, n = inputs.num_stages, inputs.num_microbatches
-    orders = [_stage_task_order(s, pp, n) for s in range(pp)]
-    pointers = [0] * pp
-    finish: Dict[Task, float] = {}
-    stage_free = [0.0] * pp
-    stage_busy = [0.0] * pp
-    remaining = sum(len(order) for order in orders)
-
-    def dependency_ready(task: Task) -> Tuple[bool, float]:
-        kind, stage, micro = task
-        if kind == "F":
-            if stage == 0:
-                return True, 0.0
-            upstream = finish.get(("F", stage - 1, micro))
-            if upstream is None:
-                return False, 0.0
-            return True, upstream + inputs.comm[stage - 1]
-        if stage == pp - 1:
-            upstream = finish.get(("F", stage, micro))
-            if upstream is None:
-                return False, 0.0
-            return True, upstream
-        downstream = finish.get(("B", stage + 1, micro))
-        if downstream is None:
-            return False, 0.0
-        return True, downstream + inputs.comm[stage]
-
-    while remaining > 0:
-        progressed = False
-        for stage in range(pp):
-            if pointers[stage] >= len(orders[stage]):
-                continue
-            task = orders[stage][pointers[stage]]
-            ready, dep_time = dependency_ready(task)
-            if not ready:
-                continue
-            kind = task[0]
-            duration = inputs.forward[stage] if kind == "F" else inputs.backward[stage]
-            start = max(stage_free[stage], dep_time)
-            end = start + duration
-            finish[task] = end
-            stage_free[stage] = end
-            stage_busy[stage] += duration
-            pointers[stage] += 1
-            remaining -= 1
-            progressed = True
-        if not progressed:
-            raise RuntimeError("1F1B schedule deadlocked; dependency graph is inconsistent")
 
     iteration_time = max(stage_free)
     return PipelineResult(

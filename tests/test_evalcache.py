@@ -8,7 +8,7 @@ import enum
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any
+from typing import Any, Dict, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,14 +24,16 @@ from repro.core.evaluator import Evaluator
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
 from repro.core.plan import MemPair
-from repro.api import registry
+from repro.api import Session, registry
 from repro.online import StormSpec, generate_trace
 from repro.hardware.faults import FaultModel
 from repro.parallelism.partition import TPSplitStrategy
 from repro.parallelism.pipeline import (
     PipelineCostInputs,
+    PipelineResult,
+    Task,
+    _stage_task_order,
     simulate_1f1b,
-    simulate_1f1b_reference,
 )
 from repro.interconnect.collectives import CollectiveAlgorithm
 from repro.workloads.workload import TrainingWorkload
@@ -395,6 +397,69 @@ class TestCanonicalFormGolden:
 
 
 # ------------------------------------------------------------- 1F1B event-driven sim
+def simulate_1f1b_reference(inputs: PipelineCostInputs) -> PipelineResult:
+    """The original O(pp² · µbatches) polling-scan simulator.
+
+    Kept as the oracle for randomized equivalence tests of the event-driven scheduler
+    in ``repro.parallelism.pipeline``; produces bit-for-bit identical results.
+    """
+    pp, n = inputs.num_stages, inputs.num_microbatches
+    orders = [_stage_task_order(s, pp, n) for s in range(pp)]
+    pointers = [0] * pp
+    finish: Dict[Task, float] = {}
+    stage_free = [0.0] * pp
+    stage_busy = [0.0] * pp
+    remaining = sum(len(order) for order in orders)
+
+    def dependency_ready(task: Task) -> Tuple[bool, float]:
+        kind, stage, micro = task
+        if kind == "F":
+            if stage == 0:
+                return True, 0.0
+            upstream = finish.get(("F", stage - 1, micro))
+            if upstream is None:
+                return False, 0.0
+            return True, upstream + inputs.comm[stage - 1]
+        if stage == pp - 1:
+            upstream = finish.get(("F", stage, micro))
+            if upstream is None:
+                return False, 0.0
+            return True, upstream
+        downstream = finish.get(("B", stage + 1, micro))
+        if downstream is None:
+            return False, 0.0
+        return True, downstream + inputs.comm[stage]
+
+    while remaining > 0:
+        progressed = False
+        for stage in range(pp):
+            if pointers[stage] >= len(orders[stage]):
+                continue
+            task = orders[stage][pointers[stage]]
+            ready, dep_time = dependency_ready(task)
+            if not ready:
+                continue
+            kind = task[0]
+            duration = inputs.forward[stage] if kind == "F" else inputs.backward[stage]
+            start = max(stage_free[stage], dep_time)
+            end = start + duration
+            finish[task] = end
+            stage_free[stage] = end
+            stage_busy[stage] += duration
+            pointers[stage] += 1
+            remaining -= 1
+            progressed = True
+        if not progressed:
+            raise RuntimeError("1F1B schedule deadlocked; dependency graph is inconsistent")
+
+    iteration_time = max(stage_free)
+    return PipelineResult(
+        iteration_time=iteration_time,
+        stage_busy_time=tuple(stage_busy),
+        stage_finish_time=tuple(stage_free),
+    )
+
+
 class TestEventDriven1F1B:
     def test_randomized_equivalence_grid(self):
         rng = random.Random(1234)
@@ -447,29 +512,33 @@ class TestSearchLoops:
     def test_ga_parallel_matches_serial(self, wafer, workload, seed_plan):
         config = GAConfig(population_size=6, generations=3, seed=5)
         serial = GeneticOptimizer(Evaluator(wafer), workload, config).optimize(seed_plan)
-        parallel = GeneticOptimizer(Evaluator(wafer), workload, config).optimize(
-            seed_plan, parallel=2
-        )
+        with Session(pool=2) as session:
+            parallel = GeneticOptimizer(Evaluator(wafer), workload, config).optimize(
+                seed_plan, session=session
+            )
         assert parallel.best_fitness == serial.best_fitness
         assert parallel.history == serial.history
         assert parallel.best_plan == serial.best_plan
 
     def test_scheduler_explore_parallel_matches_serial(self, wafer, workload):
         serial = CentralScheduler(wafer).explore(workload)
-        parallel = CentralScheduler(wafer).explore(workload, parallel=2)
+        scheduler = CentralScheduler(wafer)
+        with Session(pool=2) as session:
+            parallel = scheduler.explore(workload, session=session)
         assert [r.plan for r in parallel] == [r.plan for r in serial]
         assert [r.result for r in parallel] == [r.result for r in serial]
 
     def test_parallel_explore_counters_stay_honest(self, wafer, workload):
         scheduler = CentralScheduler(wafer)
-        first = scheduler.explore(workload, parallel=2)
-        evaluator = scheduler.evaluator
-        raw_after_first = evaluator.raw_evaluations
-        assert raw_after_first == len(first)  # every candidate priced exactly once
-        # A warm re-exploration must be answered from the cache: no new raw pricing,
-        # one hit per candidate.
-        hits_before = evaluator.cache.hits
-        second = scheduler.explore(workload, parallel=2)
+        with Session(pool=2) as session:
+            first = scheduler.explore(workload, session=session)
+            evaluator = scheduler.evaluator
+            raw_after_first = evaluator.raw_evaluations
+            assert raw_after_first == len(first)  # every candidate priced exactly once
+            # A warm re-exploration must be answered from the cache: no new raw
+            # pricing, one hit per candidate.
+            hits_before = evaluator.cache.hits
+            second = scheduler.explore(workload, session=session)
         assert [r.result for r in second] == [r.result for r in first]
         assert evaluator.raw_evaluations == raw_after_first
         assert evaluator.cache.hits == hits_before + len(second)
@@ -479,5 +548,6 @@ class TestSearchLoops:
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,)
         )
         serial = dse.sweep(max_tp=4)
-        parallel = dse.sweep(max_tp=4, parallel=2)
+        with Session(pool=2) as session:
+            parallel = dse.sweep(max_tp=4, session=session)
         assert parallel == serial

@@ -390,20 +390,41 @@ class TestDegradation:
         with pytest.raises(ValueError, match="conflicts with the endpoint"):
             Session(store="127.0.0.1:1/prod", namespace="dev")
 
-    def test_stale_namespace_gets_did_you_mean(self, tmp_path):
+    @staticmethod
+    def _record_client_sockets(monkeypatch):
+        """Wrap ``socket.create_connection`` so a test can see every socket opened."""
+        opened = []
+        create_connection = socket.create_connection
+
+        def recording(*args, **kwargs):
+            sock = create_connection(*args, **kwargs)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", recording)
+        return opened
+
+    def test_stale_namespace_gets_did_you_mean(self, tmp_path, monkeypatch):
         coord = FabricCoordinator(str(tmp_path / "fabric"), namespace="prod")
         address = coord.start("127.0.0.1:0")
+        opened = self._record_client_sockets(monkeypatch)
         with pytest.raises(FabricProtocolError, match="did you mean 'prod'"):
             Session(store=f"{address}/prodd")
         coord.stop()
+        # The rejected handshake closed its socket instead of leaking it.
+        assert len(opened) == 1
+        assert opened[0].fileno() == -1
 
     def test_version_mismatch_is_actionable(self, tmp_path, monkeypatch):
         coord = FabricCoordinator(str(tmp_path / "fabric"))
         address = coord.start("127.0.0.1:0")
         monkeypatch.setattr("repro.fabric.client.PROTOCOL_VERSION", 99)
+        opened = self._record_client_sockets(monkeypatch)
         with pytest.raises(FabricProtocolError, match="v99.*upgrade"):
             Session(store=address)
         coord.stop()
+        assert len(opened) == 1
+        assert opened[0].fileno() == -1
 
     def test_connection_lost_mid_sweep_quarantines_locally(self, tmp_path):
         coord = FabricCoordinator(str(tmp_path / "fabric"), lease_s=5.0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -627,7 +628,7 @@ class TestSessionAndCli:
             ["serve-trace", trace_path, "--policy", "edf",
              "--results", store_path, "--json", out_path]
         ) == 0
-        payload = json.loads(open(out_path).read())
+        payload = json.loads(Path(out_path).read_text())
         assert payload["jobs"] == 5 and payload["policy"] == "edf"
         capsys.readouterr()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,7 @@ class TestRunCommand:
              "--json", out]
         )
         assert status == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["plan"] and payload["metrics"]["throughput"] > 0
         assert payload["metrics"]["records"] > 0
         assert "scheduler" in capsys.readouterr().out
@@ -47,7 +48,7 @@ class TestRunCommand:
         out = str(tmp_path / "run.json")
         assert repro_main(["run", "--spec", str(spec), "--store", store,
                            "--json", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["label"] == "tiny-ga"
         assert payload["metrics"]["best_fitness"] > 0
         # The session flushed its cache to the store on exit.
@@ -67,7 +68,7 @@ class TestRunCommand:
         ]))
         out = str(tmp_path / "sweep.json")
         assert repro_main(["sweep", "--spec", str(specs), "--json", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert [run["label"] for run in payload["runs"]] == ["a", "b"]
         # Second spec hit the shared warm cache: zero extra misses.
         first, second = payload["runs"]
@@ -85,7 +86,7 @@ class TestRunCommand:
         )
         out = str(tmp_path / "run.json")
         assert repro_main(["run", "--spec", "-", "--json", out]) == 0
-        assert json.loads(open(out).read())["metrics"]["throughput"] > 0
+        assert json.loads(Path(out).read_text())["metrics"]["throughput"] > 0
 
 
 # ----------------------------------------------------------------------------- sweep
@@ -112,7 +113,7 @@ class TestSweepCommand:
         assert repro_main(["sweep", "--spec", str(spec), "--results", results,
                            "--json", out]) == 0
         assert "4 cells — 3 run, 0 failed, 1 already complete" in capsys.readouterr().out
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["cells"] == 4 and payload["skipped"] == 1
         assert len(payload["runs"]) == 3
 
@@ -169,7 +170,7 @@ class TestResultsCommand:
 
         csv_out = str(tmp_path / "cells.csv")
         assert repro_main(["results", "export", results, "--csv", csv_out]) == 0
-        rows = open(csv_out).read().strip().splitlines()
+        rows = Path(csv_out).read_text().strip().splitlines()
         assert len(rows) == 5  # header + one row per cell
         assert rows[0].startswith("cell_id,kind,label,plan,oom,status,attempts,error,seconds,")
         assert "throughput" in rows[0]

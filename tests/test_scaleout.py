@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Session
 from repro.core.evalcache import EvaluationCache
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig
@@ -123,7 +124,9 @@ class TestWatosParallel:
         config = GAConfig(population_size=4, generations=2, seed=3)
 
         serial = self._watos([wafer, other], config).explore(workloads)
-        parallel = self._watos([wafer, other], config).explore(workloads, parallel=2)
+        watos = self._watos([wafer, other], config)
+        with Session(pool=2) as session:
+            parallel = watos.explore(workloads, session=session)
 
         assert len(serial.outcomes) == len(parallel.outcomes) > 0
         for a, b in zip(serial.outcomes, parallel.outcomes):
@@ -137,11 +140,12 @@ class TestWatosParallel:
     def test_explore_merges_worker_deltas(self, wafer):
         workloads = [TrainingWorkload(make_tiny_model(), 16, 4, 1024)]
         watos = self._watos([wafer], GAConfig(population_size=4, generations=2, seed=3))
-        watos.explore(workloads, parallel=2)
-        # The shared cache absorbed the worker's pricing: a re-exploration of the
-        # same point re-prices nothing.
-        misses_before = watos.cache.stats.misses
-        watos.explore(workloads, parallel=2)
+        with Session(pool=2) as session:
+            watos.explore(workloads, session=session)
+            # The shared cache absorbed the worker's pricing: a re-exploration of
+            # the same point re-prices nothing.
+            misses_before = watos.cache.stats.misses
+            watos.explore(workloads, session=session)
         assert watos.cache.stats.misses == misses_before
 
     def test_explore_persists_across_instances(self, wafer, tmp_path):
@@ -150,12 +154,13 @@ class TestWatosParallel:
         path = str(tmp_path / "watos.sqlite")
 
         first = Watos(candidates=[wafer], ga_config=config,
-                      cache=EvaluationCache(store=path))
-        outcome_first = first.explore(workloads, parallel=2)
+                      session=Session(cache=EvaluationCache(store=path)))
+        with Session(pool=2) as session:
+            outcome_first = first.explore(workloads, session=session)
         first.cache.close()
 
         second = Watos(candidates=[wafer], ga_config=config,
-                       cache=EvaluationCache(store=path))
+                       session=Session(cache=EvaluationCache(store=path)))
         assert second.cache.stats.loaded > 0
         outcome_second = second.explore(workloads)
         assert second.cache.stats.misses == 0
@@ -175,14 +180,16 @@ class TestWatosParallel:
         path = str(tmp_path / "warm.sqlite")
 
         first = Watos(candidates=[wafer], ga_config=config,
-                      cache=EvaluationCache(store=path))
-        cold = first.explore(workloads, parallel=2)
+                      session=Session(cache=EvaluationCache(store=path)))
+        with Session(pool=2) as session:
+            cold = first.explore(workloads, session=session)
         first.cache.close()
 
         second = Watos(candidates=[wafer], ga_config=config,
-                       cache=EvaluationCache(store=path))
+                       session=Session(cache=EvaluationCache(store=path)))
         assert second.cache.stats.loaded > 0
-        warm = second.explore(workloads, parallel=2)  # used to raise TypeError
+        with Session(pool=2) as session:
+            warm = second.explore(workloads, session=session)  # used to raise TypeError
         assert [o.result for o in warm.outcomes] == [o.result for o in cold.outcomes]
         assert second.cache.stats.misses == 0
         second.cache.close()
@@ -196,37 +203,40 @@ class TestDseSharedCache:
         ).sweep(max_tp=4)
         cached_dse = DieGranularityDse(
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
-            cache=EvaluationCache(),
+            session=Session(cache=EvaluationCache()),
         )
         assert cached_dse.sweep(max_tp=4) == plain
         # Parallel sweep with the shared cache also matches.
-        assert cached_dse.sweep(max_tp=4, parallel=2) == plain
+        with Session(pool=2) as session:
+            assert cached_dse.sweep(max_tp=4, session=session) == plain
 
     def test_repeat_sweep_is_all_hits(self, workload):
         # max_tp=16 so the 48-die (500 mm²) design point enumerates real splits
         # (tp=8/pp=6, tp=16/pp=3) — with max_tp=4 the grid prices nothing.
         dse = DieGranularityDse(
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
-            cache=EvaluationCache(),
+            session=Session(cache=EvaluationCache()),
         )
-        dse.sweep(max_tp=16, parallel=2)
-        assert dse.cache.stats.misses > 0
-        misses_before = dse.cache.stats.misses
-        dse.sweep(max_tp=16, parallel=2)
+        with Session(pool=2) as session:
+            dse.sweep(max_tp=16, session=session)
+            assert dse.cache.stats.misses > 0
+            misses_before = dse.cache.stats.misses
+            dse.sweep(max_tp=16, session=session)
         assert dse.cache.stats.misses == misses_before
 
     def test_sweep_persists_to_store(self, workload, tmp_path):
         path = str(tmp_path / "dse.jsonl")
         dse = DieGranularityDse(
             workload, areas_mm2=(500.0,), aspect_ratios=(1.0, 1.6),
-            cache=EvaluationCache(store=path),
+            session=Session(cache=EvaluationCache(store=path)),
         )
-        points = dse.sweep(max_tp=16, parallel=2)
+        with Session(pool=2) as session:
+            points = dse.sweep(max_tp=16, session=session)
         dse.cache.close()
 
         warm = DieGranularityDse(
             workload, areas_mm2=(500.0,), aspect_ratios=(1.0, 1.6),
-            cache=EvaluationCache(store=path),
+            session=Session(cache=EvaluationCache(store=path)),
         )
         assert warm.cache.stats.loaded > 0
         assert warm.sweep(max_tp=16) == points

@@ -1,20 +1,20 @@
-"""Session runtime API: lifecycle, legacy-path equivalence, deprecation shims.
+"""Session runtime API: lifecycle, direct-call equivalence, one spelling per knob.
 
-The contract under test (ISSUE 4 acceptance criteria):
+The contract under test:
 
 * ``Session`` owns the pool and the cache; context-manager exit joins the pool and
   flushes the store.
-* ``Session.run(spec)`` is bit-identical to the legacy direct-call path for all four
-  search loops (GA, CentralScheduler, DieGranularityDse, Watos), serial or pooled.
-* Legacy ``cache=`` / ``parallel=`` kwargs still work but emit a
-  ``DeprecationWarning`` exactly once per call site.
+* ``Session.run(spec)`` is bit-identical to calling the search loops directly for
+  all four of them (GA, CentralScheduler, DieGranularityDse, Watos), serial or
+  pooled.
+* Loops take their cache and pool only from ``session=``; the removed
+  ``cache=`` / ``parallel=`` / ``workers=`` / ``chunksize=`` spellings raise
+  ``TypeError``.
 * An ambient session (``with Session(...):`` or ``default_session()``) supplies its
   pool and cache to bare loop calls, so nested sweeps share workers.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -33,11 +33,12 @@ from repro.core.evaluator import Evaluator
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
+from repro.core.parallel_map import WorkerPool, parallel_map
 
 
 @pytest.fixture(autouse=True)
 def _clean_runtime():
-    """Each test starts with no ambient/default session and fresh warn-once state."""
+    """Each test starts with no ambient/default session."""
     close_default_session()
     yield
     close_default_session()
@@ -60,7 +61,7 @@ GA_SPEC = dict(kind="ga", wafer="tiny", workload="tiny", population=6, generatio
 class TestLifecycle:
     def test_exit_joins_pool_and_flushes_store(self, tmp_path):
         path = str(tmp_path / "session.jsonl")
-        with Session(workers=2, store=path) as session:
+        with Session(pool=2, store=path) as session:
             run = session.run(ExperimentSpec(kind="scheduler", wafer="tiny", workload="tiny"))
             assert run
             pool = session.pool
@@ -148,7 +149,7 @@ class TestRunEquivalence:
     def test_ga_kind_pooled_matches_serial(self):
         with Session() as session:
             serial = session.run(ExperimentSpec(**GA_SPEC))
-        with Session(workers=2) as session:
+        with Session(pool=2) as session:
             pooled = session.run(ExperimentSpec(**GA_SPEC))
         assert pooled.metrics["best_fitness"] == serial.metrics["best_fitness"]
         assert pooled.details.history == serial.details.history
@@ -190,9 +191,9 @@ class TestRunEquivalence:
         )
         with Session() as session:
             serial = session.run(ExperimentSpec(**spec))
-        with Session(workers=2) as session:
+        with Session(pool=2) as session:
             outer = session.run(ExperimentSpec(**spec, nest="points"))
-        with Session(workers=2) as session:
+        with Session(pool=2) as session:
             inner = session.run(ExperimentSpec(**spec, nest="inner"))
         # A pool-less session honours nest="inner" too: the spec's integer worker
         # hint is promoted to one pool lent to the nested loops, not ignored.
@@ -213,45 +214,54 @@ class TestRunEquivalence:
         assert session.cache.stats.misses == misses_after_first
 
 
-# ------------------------------------------------------------------- deprecation
-class TestDeprecationShims:
-    def test_legacy_kwargs_warn_exactly_once(self, wafer, workload):
-        runtime.reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning, match="CentralScheduler"):
-            records = CentralScheduler(wafer, cache=EvaluationCache()).explore(workload)
-        assert records
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CentralScheduler(wafer, cache=EvaluationCache()).explore(workload)
-        assert [w for w in caught if w.category is DeprecationWarning] == []
+# ------------------------------------------------------------------ removed knobs
+def _seed_plan(wafer, workload):
+    return CentralScheduler(wafer).best(workload).plan
 
-    def test_legacy_parallel_kwarg_warns_and_matches(self, wafer, workload):
-        runtime.reset_legacy_warnings()
-        evaluator = Evaluator(wafer)
-        seed = CentralScheduler(wafer, evaluator=evaluator).best(workload)
-        config = GAConfig(population_size=4, generations=2)
-        serial = GeneticOptimizer(evaluator, workload, config).optimize(seed.plan)
-        with pytest.warns(DeprecationWarning, match="GeneticOptimizer"):
-            legacy = GeneticOptimizer(
-                Evaluator(wafer), workload, config
-            ).optimize(seed.plan, parallel=2)
-        assert legacy.history == serial.history
 
-    def test_session_plus_legacy_kwarg_is_an_error(self, wafer, workload):
-        with Session() as session:
-            with pytest.raises(ValueError):
-                CentralScheduler(wafer).explore(workload, parallel=2, session=session)
+def _ga(wafer, workload):
+    return GeneticOptimizer(
+        Evaluator(wafer), workload, GAConfig(population_size=4, generations=1)
+    )
 
-    def test_legacy_watos_cache_kwarg_still_works(self, wafer, workload):
-        runtime.reset_legacy_warnings()
-        cache = EvaluationCache()
-        with pytest.warns(DeprecationWarning, match="Watos"):
-            watos = Watos(
-                candidates=[wafer], use_ga=False, cache=cache,
-            )
-        watos.explore([workload])
-        assert watos.cache is cache
-        assert cache.stats.misses > 0
+
+#: Every spelling the loops, pools and sessions used to accept besides ``session=``
+#: / ``pool=`` / ``PoolConfig``.  Each must fail loudly rather than warn or, worse,
+#: bind positionally to a different parameter.
+REMOVED_SPELLINGS = {
+    "WorkerPool(2)": lambda w, wl: WorkerPool(2),
+    "WorkerPool(chunk_retries=0)": lambda w, wl: WorkerPool(chunk_retries=0),
+    "Session(workers=2)": lambda w, wl: Session(workers=2),
+    "Session(2)": lambda w, wl: Session(2),
+    "default_session(workers=2)": lambda w, wl: default_session(workers=2),
+    "Session.default(workers=2)": lambda w, wl: Session.default(workers=2),
+    "optimize(plan,2)": lambda w, wl: _ga(w, wl).optimize(_seed_plan(w, wl), 2),
+    "optimize(parallel=2)": lambda w, wl: _ga(w, wl).optimize(
+        _seed_plan(w, wl), parallel=2
+    ),
+    "CentralScheduler(cache=)": lambda w, wl: CentralScheduler(
+        w, cache=EvaluationCache()
+    ),
+    "explore(parallel=2)": lambda w, wl: CentralScheduler(w).explore(wl, parallel=2),
+    "best(parallel=2)": lambda w, wl: CentralScheduler(w).best(wl, parallel=2),
+    "DieGranularityDse(cache=)": lambda w, wl: DieGranularityDse(
+        wl, cache=EvaluationCache()
+    ),
+    "sweep(parallel=2)": lambda w, wl: DieGranularityDse(wl, areas_mm2=(300.0,)).sweep(
+        parallel=2
+    ),
+    "Watos(cache=)": lambda w, wl: Watos(candidates=[w], cache=EvaluationCache()),
+    "Watos.explore(parallel=2)": lambda w, wl: Watos(
+        candidates=[w], use_ga=False
+    ).explore([wl], parallel=2),
+    "parallel_map(chunksize=2)": lambda w, wl: parallel_map(abs, [1, 2], chunksize=2),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
+def test_removed_spelling_raises_type_error(spelling, wafer, workload):
+    with pytest.raises(TypeError):
+        REMOVED_SPELLINGS[spelling](wafer, workload)
 
 
 # ---------------------------------------------------------------- ambient/default
@@ -268,13 +278,13 @@ class TestAmbientSession:
 
     def test_with_block_supplies_pool_to_bare_calls(self, wafer, workload):
         serial = CentralScheduler(wafer).explore(workload)
-        with Session(workers=2) as session:
+        with Session(pool=2) as session:
             pooled = CentralScheduler(wafer).explore(workload)
             assert session.pool is not None and session.pool._started
         assert [r.result for r in pooled] == [r.result for r in serial]
 
     def test_default_session_is_a_singleton_shared_by_bare_calls(self, wafer, workload):
-        session = default_session(workers=2)
+        session = default_session(pool=2)
         assert default_session() is session
         evaluator = Evaluator(wafer, cache=session.cache)
         seed = CentralScheduler(wafer, evaluator=evaluator).best(workload)

@@ -474,53 +474,23 @@ class TestStreamingSweep:
             assert len(list(session.sweep(sweep, results=path, resume=False))) == 1
 
     def test_bare_list_shim_warns_once_and_works(self):
-        runtime.reset_legacy_warnings()
-        # Name-only differences (and even exact repeats) were fine in the PR 4
-        # list form and must stay fine; the shim also keeps the eager-list return,
-        # so legacy callers can still index the result.
+        # Name-only differences (and even exact repeats) in an explicit cell list
+        # are fine: each cell still gets its own row.
         spec = dict(ALL_KINDS_SPECS[0])
         specs = [
             ExperimentSpec(**spec, name="a"),
             ExperimentSpec(**spec, name="b"),
         ]
         with Session() as session:
-            with pytest.warns(DeprecationWarning, match="SweepSpec"):
-                runs = session.sweep(specs)
-            assert isinstance(runs, list) and len(runs) == 2
+            runs = list(session.sweep(SweepSpec.from_specs(specs)))
+            assert len(runs) == 2
             assert runs[0].plan is not None
             assert [run.label for run in runs] == ["a", "b"]
             assert runs[0].cell_id != runs[1].cell_id
-            # Second call: warned already; wrapping via from_specs never warns.
-            import warnings
-
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                list(session.sweep(specs))
-                list(session.sweep(SweepSpec.from_specs(specs)))
-            assert [w for w in caught if w.category is DeprecationWarning] == []
-
-    def test_legacy_list_never_skips_despite_ambient_store(self, tmp_path):
-        # PR 4 contract: one result per spec, positionally — even when the
-        # session's result store already holds the cell.
-        runtime.reset_legacy_warnings()
-        path = str(tmp_path / "legacy.jsonl")
-        specs = [ExperimentSpec(**dict(ALL_KINDS_SPECS[0]))]
-        with Session(results=path) as session:
-            with pytest.warns(DeprecationWarning):
-                first = session.sweep(specs)
-            second = session.sweep(specs)
-        assert len(first) == len(second) == 1
-        assert second[0].plan is not None
-
-    def test_legacy_iterables_take_the_shim_path_too(self):
-        # PR 4's sweep iterated any iterable; generators must keep working.
-        runtime.reset_legacy_warnings()
-        with Session() as session:
-            with pytest.warns(DeprecationWarning):
-                runs = session.sweep(
-                    ExperimentSpec(**dict(spec)) for spec in ALL_KINDS_SPECS[:1]
-                )
-        assert isinstance(runs, list) and len(runs) == 1
+            # A bare list is the same explicit cell list (as in a JSON-array file).
+            assert [run.cell_id for run in session.sweep(specs)] == [
+                run.cell_id for run in runs
+            ]
 
     def test_session_results_is_ambient(self, tmp_path):
         path = str(tmp_path / "ambient.jsonl")

@@ -10,8 +10,8 @@ The contract under test:
   grows slots under queue pressure and reaps idle slots back to ``min_workers``.
 * Chaos (worker kills, poison cells) behaves under concurrency exactly as it does
   serially: kills respawn, poison cells quarantine while siblings stay in flight.
-* The API cleanup keeps old spellings working behind one deprecation warning:
-  ``WorkerPool(2)`` / ``Session(workers=...)`` shim onto ``config=``/``pool=``.
+* Pools are sized only by :class:`PoolConfig` (``WorkerPool(config=...)``,
+  ``Session(pool=...)``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.core.chaos import ChaosMonkey
 from repro.core.evalcache import EvaluationCache
 from repro.core.parallel_map import WorkerPool
 from repro.core.retry import RetryPolicy
-from repro.core.runtime import reset_legacy_warnings
 
 
 @pytest.fixture(autouse=True)
@@ -328,27 +327,6 @@ class TestPoolConfigApi:
             PoolConfig(chunk_retries=-1)
         with pytest.raises(ValueError):
             PoolConfig(idle_shrink_s=-0.5)
-
-    def test_legacy_int_form_warns_once(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning, match="PoolConfig"):
-            pool = WorkerPool(2)
-        try:
-            assert pool.workers == 2 and pool.min_workers == 2
-        finally:
-            pool.close()
-
-    def test_config_conflicts_with_legacy_kwargs(self):
-        with pytest.raises(ValueError):
-            WorkerPool(2, config=PoolConfig(max_workers=2))
-
-    def test_session_workers_alias_warns_and_conflicts(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning, match="pool="):
-            with Session(workers=2) as session:
-                assert session.workers == 2
-        with pytest.raises(ValueError):
-            Session(workers=2, pool=2)
 
     def test_session_accepts_pool_config(self):
         with Session(pool=PoolConfig(min_workers=1, max_workers=2)) as session:

@@ -24,7 +24,9 @@ from repro.core.evaluator import Evaluator
 from repro.core.framework import Watos
 from repro.core.genetic import GAConfig, GeneticOptimizer
 from repro.core.hardware_dse import DieGranularityDse
+from repro.api import Session
 from repro.core.parallel_map import (
+    PoolConfig,
     WorkerCrashError,
     WorkerPool,
     parallel_map,
@@ -170,7 +172,7 @@ class TestReadThrough:
         assert cache.get("a") == 1.0
         # Workers share the store file; adopted entries must not be re-shipped.
         assert cache.export_since(0)[0] == {}
-        assert cache.delta() == {}
+        assert cache.take_carry()["delta"] == {}
         cache.put("fresh", 2.0)
         assert cache.export_since(0)[0] == {"fresh": 2.0}
         cache.close()
@@ -280,18 +282,18 @@ def _wedge(token_path, value):
 
 class TestWorkerPoolMechanics:
     def test_map_preserves_order(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             assert pool.map(_square, list(range(7))) == [i * i for i in range(7)]
             # The same long-lived workers serve follow-up submissions.
             assert pool.map(_square, [9, 3]) == [81, 9]
 
     def test_single_item_and_empty(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             assert pool.map(_square, []) == []
             assert pool.map(_square, [4]) == [16]
 
     def test_exceptions_propagate_and_pool_survives(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             with pytest.raises(ValueError, match="boom"):
                 pool.map(_boom, [1, 2, 3])
             assert pool.map(_square, [2, 3]) == [4, 9]
@@ -299,13 +301,13 @@ class TestWorkerPoolMechanics:
     def test_unpicklable_exception_does_not_hang(self):
         # Pipe sends pickle in the worker thread, so the fallback ("err", text,
         # None) path runs; a queue feeder would drop the message and hang the pool.
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             with pytest.raises(RuntimeError, match="_UnpicklableError"):
                 pool.map(_boom_unpicklable, [1, 2, 3])
             assert pool.map(_square, [2, 3]) == [4, 9]
 
     def test_unpicklable_result_does_not_hang(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             with pytest.raises(Exception, match="[Pp]ickle"):
                 pool.map(_unpicklable_result, [1, 2, 3])
             assert pool.map(_square, [2, 3]) == [4, 9]
@@ -315,7 +317,7 @@ class TestWorkerPoolMechanics:
         # dispatch plus one respawned re-dispatch): the supervisor gives up on the
         # chunks, raises, but leaves the pool whole — both deaths were concurrent,
         # so this also regresses the multi-death drain hang.
-        pool = WorkerPool(2)
+        pool = WorkerPool(config=PoolConfig(max_workers=2))
         try:
             with pytest.raises(WorkerCrashError, match="died mid-task"):
                 pool.map(_exit_hard, [1, 2, 3])
@@ -330,7 +332,7 @@ class TestWorkerPoolMechanics:
         # map returns complete, order-preserving results, identical to a crash-free
         # run.  The kill token makes the crash strike exactly once.
         token = tmp_path / "die-once"
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             values = list(range(8))
             out = pool.map(partial(_exit_once, str(token)), values)
             assert out == [v * v for v in values]
@@ -340,7 +342,7 @@ class TestWorkerPoolMechanics:
         # A worker that ignores SIGTERM must not hang interpreter exit: close()
         # escalates join -> terminate -> kill, each bounded.
         token = tmp_path / "wedged"
-        pool = WorkerPool(1)
+        pool = WorkerPool(config=PoolConfig(max_workers=1))
         pool._ensure_started()
         pool._task_conns[0].send(("map", partial(_wedge, str(token)), [1], False, ""))
         deadline = time.monotonic() + 10
@@ -353,12 +355,12 @@ class TestWorkerPoolMechanics:
         assert all(p is None or not p.is_alive() for p in pool._procs)
 
     def test_pool_refuses_to_pickle(self):
-        with WorkerPool(1) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=1)) as pool:
             with pytest.raises(TypeError):
                 pickle.dumps(pool)
 
     def test_map_after_close_raises(self):
-        pool = WorkerPool(1)
+        pool = WorkerPool(config=PoolConfig(max_workers=1))
         pool.map(_square, [1, 2])
         pool.close()
         pool.close()  # idempotent
@@ -366,11 +368,11 @@ class TestWorkerPoolMechanics:
             pool.map(_square, [1, 2])
 
     def test_resolve_workers_accepts_pools(self):
-        with WorkerPool(3) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=3)) as pool:
             assert resolve_workers(pool) == 3
 
     def test_parallel_map_accepts_pools(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             assert parallel_map(_square, [1, 2, 3], parallel=pool) == [1, 4, 9]
 
 
@@ -378,17 +380,18 @@ class TestWorkerPoolMechanics:
 class TestPoolReuseDeterminism:
     """Serial == fresh pool == reused pool, bit for bit, for every search loop."""
 
-    def _ga(self, wafer, workload, ga_config, parallel=None, cache=None):
+    def _ga(self, wafer, workload, ga_config, session=None, cache=None):
         evaluator = Evaluator(wafer, cache=cache) if cache is not None else Evaluator(wafer)
         seed_plan = CentralScheduler(wafer, evaluator=evaluator).best(workload).plan
         ga = GeneticOptimizer(evaluator, workload, ga_config)
-        return ga.optimize(seed_plan, parallel=parallel)
+        return ga.optimize(seed_plan, session=session)
 
     def test_ga_fresh_and_reused_pool_match_serial(self, wafer, workload, ga_config):
         serial = self._ga(wafer, workload, ga_config)
-        with WorkerPool(2) as pool:
-            fresh = self._ga(wafer, workload, ga_config, parallel=pool)
-            reused = self._ga(wafer, workload, ga_config, parallel=pool)
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            session = Session(pool=pool)
+            fresh = self._ga(wafer, workload, ga_config, session=session)
+            reused = self._ga(wafer, workload, ga_config, session=session)
         for outcome in (fresh, reused):
             assert outcome.best_fitness == serial.best_fitness
             assert outcome.history == serial.history
@@ -405,25 +408,26 @@ class TestPoolReuseDeterminism:
         serial_records = CentralScheduler(wafer).explore(workload)
         serial_sweep = DieGranularityDse(
             workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
-            cache=EvaluationCache(),
+            session=Session(cache=EvaluationCache()),
         ).sweep(max_tp=4)
         serial_rows = run_multiwafer_ga(wafer, workload, 3, ga_config, EvaluationCache())
         serial_watos = Watos(candidates=[wafer, other], ga_config=ga_config).explore(
             [small]
         )
 
-        with WorkerPool(2) as pool:
-            pool_ga = self._ga(wafer, workload, ga_config, parallel=pool)
-            pool_records = CentralScheduler(wafer).explore(workload, parallel=pool)
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            session = Session(pool=pool)
+            pool_ga = self._ga(wafer, workload, ga_config, session=session)
+            pool_records = CentralScheduler(wafer).explore(workload, session=session)
             pool_sweep = DieGranularityDse(
                 workload, areas_mm2=(300.0, 500.0), aspect_ratios=(1.0,),
-                cache=EvaluationCache(),
-            ).sweep(max_tp=4, parallel=pool)
+                session=Session(cache=EvaluationCache()),
+            ).sweep(max_tp=4, session=session)
             pool_rows = run_multiwafer_ga(
                 wafer, workload, 3, ga_config, EvaluationCache(), parallel=pool
             )
             pool_watos = Watos(candidates=[wafer, other], ga_config=ga_config).explore(
-                [small], parallel=pool
+                [small], session=session
             )
 
         assert pool_ga.best_fitness == serial_ga.best_fitness
@@ -441,10 +445,11 @@ class TestPoolReuseDeterminism:
         faults = FaultModel()
         evaluator = Evaluator(wafer, faults=faults)
         scheduler = CentralScheduler(wafer, evaluator=evaluator)
-        with WorkerPool(2) as pool:
-            healthy = scheduler.explore(workload, parallel=pool)
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            session = Session(pool=pool)
+            healthy = scheduler.explore(workload, session=session)
             faults.add_die_fault((0, 0), 0.2)
-            degraded = scheduler.explore(workload, parallel=pool)
+            degraded = scheduler.explore(workload, session=session)
 
         reference_faults = FaultModel()
         reference_faults.add_die_fault((0, 0), 0.2)
@@ -457,9 +462,9 @@ class TestPoolReuseDeterminism:
     def test_watos_explore_on_pool_matches_serial(self, wafer, ga_config):
         workloads = [TrainingWorkload(make_tiny_model(), 16, 4, 1024)]
         serial = Watos(candidates=[wafer], ga_config=ga_config).explore(workloads)
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
             pooled = Watos(candidates=[wafer], ga_config=ga_config).explore(
-                workloads, parallel=pool
+                workloads, session=Session(pool=pool)
             )
         assert pooled.outcomes == serial.outcomes
         assert pooled.exploration_records == serial.exploration_records
@@ -476,21 +481,22 @@ class TestDeltaOnlySync:
             TrainingWorkload(make_tiny_model(), 32, 8, 2048),
         ]
         watos = Watos(candidates=[wafer], ga_config=ga_config)
-        with WorkerPool(2) as pool:
-            watos.explore(workloads, parallel=pool)
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            session = Session(pool=pool)
+            watos.explore(workloads, session=session)
             entries_after_first = len(watos.cache)
             shipped_first = watos.cache.stats.shipped
             # First pass: shards start empty, so only cross-worker deltas ship.
             assert shipped_first <= entries_after_first
 
-            watos.explore(workloads, parallel=pool)
+            watos.explore(workloads, session=session)
             shipped_second = watos.cache.stats.shipped
             # Second pass re-prices nothing, so each worker receives at most the
             # other workers' first-pass entries — bounded by the cache size, far
             # below points × snapshot, and nothing the worker itself priced.
             assert shipped_second - shipped_first <= entries_after_first
 
-            watos.explore(workloads, parallel=pool)
+            watos.explore(workloads, session=session)
             # Watermarks are caught up: a third pass ships nothing at all.
             assert watos.cache.stats.shipped == shipped_second
 
@@ -499,14 +505,15 @@ class TestDeltaOnlySync:
         cache = EvaluationCache()
         evaluator = Evaluator(wafer, cache=cache)
         seed_plan = CentralScheduler(wafer, evaluator=evaluator).best(workload).plan
-        with WorkerPool(2) as pool:
+        with WorkerPool(config=PoolConfig(max_workers=2)) as pool:
+            session = Session(pool=pool)
             GeneticOptimizer(evaluator, workload, ga_config).optimize(
-                seed_plan, parallel=pool
+                seed_plan, session=session
             )
             shipped_cold = cache.stats.shipped
             # Every generation ships only that generation's freshly priced plans.
             assert 0 < shipped_cold <= evaluator.raw_evaluations * pool.workers
             GeneticOptimizer(evaluator, workload, ga_config).optimize(
-                seed_plan, parallel=pool
+                seed_plan, session=session
             )
         assert cache.stats.shipped == shipped_cold
